@@ -11,18 +11,16 @@
 //   requests    --schemas=N --seed=S --queries=Q --out=DIR
 //               [--requests=R --zipf=X --rate-qps=X
 //                --classes=NAME:WEIGHT:DEADLINE_MS,... --target-mix=T,...]
-//               [--trace-queries=N] [--volume-band=LO:HI --collection=DIR]
-//               write Q distinct queries DIR/qNNNN.txt over the collection's
-//               vocabulary, and DIR/plan.tsv: without --requests every query
-//               once in order, otherwise an eval::GenerateTrace schedule
-//               over the first --trace-queries of them (default: all).
-//               --volume-band keeps only queries whose answer count, in a
-//               quick sparse run (C = 4) over the collection written by
-//               `collection --out=DIR`, lies in [LO, HI]
+//               [--trace-queries=N]
+//               write Q distinct 5-element queries DIR/qNNNN.txt over the
+//               collection's vocabulary, and DIR/plan.tsv: without
+//               --requests every query once in order, otherwise an
+//               eval::GenerateTrace schedule over the first --trace-queries
+//               of them (default: all)
 //   replay      --repo=DIR --snapshot=FILE --plan=FILE --answers-dir=DIR
 //               [--target-bound=B]
 //               [--min-target-bound=B] [--top=N] [--threads=N]
-//               [--cache-size=N] [--delta=X] [--spans=FILE]
+//               [--cache-size=N] [--spans=FILE]
 //               [--max-seconds=X] [--min-requests=N]
 //               run the plan's requests one at a time through the public
 //               calls `serve::MatchService::Execute` makes, in its order;
@@ -50,7 +48,7 @@
 // `<warm|timed>\t<offset-us>\t<query-file>\t<request-suffix>`; the
 // suffix (` class=... target=...`) follows the answers path on the
 // `match` line. Load records: `<i>\t<plan-line>\t<phase>\t<connection>
-// \t<scheduled-ns>\t<free-ns>\t<sent-ns>\t<received-ns>\t<count>\t<reply>`,
+// \t<scheduled-ns>\t<sent-ns>\t<received-ns>\t<count>\t<reply>`,
 // times on the steady clock's epoch, count -1 when no file was read.
 
 #include <algorithm>
@@ -111,10 +109,16 @@ const sim::SynonymTable& BuiltinSynonyms() {
   return kSynonyms;
 }
 
-/// Match options identical to `matchbounds serve --delta=X`.
-match::MatchOptions ServeMatchOptions(double delta) {
+/// `matchbounds serve`'s default --delta, which the benchmark serves with.
+constexpr double kServeDelta = 0.25;
+
+/// Elements per generated query.
+constexpr size_t kQueryElements = 5;
+
+/// Match options identical to `matchbounds serve` at its default delta.
+match::MatchOptions ServeMatchOptions() {
   match::MatchOptions options;
-  options.delta_threshold = delta;
+  options.delta_threshold = kServeDelta;
   options.objective.name.synonyms = &BuiltinSynonyms();
   return options;
 }
@@ -157,7 +161,7 @@ Status RunCollection(const CommandLine& cl) {
   const SteadyClock::time_point build_start = SteadyClock::now();
   SMB_ASSIGN_OR_RETURN(schema::SchemaRepository repo,
                        schema::LoadRepositoryDir(repo_dir));
-  const match::MatchOptions options = ServeMatchOptions(0.25);
+  const match::MatchOptions options = ServeMatchOptions();
   SMB_ASSIGN_OR_RETURN(
       index::PreparedRepository prepared,
       index::PreparedRepository::Build(repo, options.objective.name));
@@ -189,90 +193,33 @@ Result<std::vector<eval::TraceClassSpec>> ParseClasses(
   return classes;
 }
 
-/// Answer-volume filter for `requests --volume-band`: the answer count of a
-/// fixed-budget sparse run, a cheap proxy of what the server will write.
-class VolumeFilter {
- public:
-  static Result<std::unique_ptr<VolumeFilter>> Open(
-      const std::string& collection, const std::string& band) {
-    const std::vector<std::string> parts = Split(band, ':');
-    if (parts.size() != 2) {
-      return Status::InvalidArgument("--volume-band expects LO:HI");
-    }
-    auto filter = std::unique_ptr<VolumeFilter>(new VolumeFilter());
-    SMB_ASSIGN_OR_RETURN(filter->low_, io::ParseUint(parts[0]));
-    SMB_ASSIGN_OR_RETURN(filter->high_, io::ParseUint(parts[1]));
-    SMB_ASSIGN_OR_RETURN(filter->repo_,
-                         schema::LoadRepositoryDir(collection + "/repo"));
-    SMB_ASSIGN_OR_RETURN(filter->matcher_,
-                         match::MakeMatcher("exhaustive", *filter->repo_));
-    SMB_ASSIGN_OR_RETURN(
-        filter->prepared_,
-        index::LoadSnapshot(collection + "/index.snap", *filter->repo_,
-                            filter->options_.objective.name));
-    return filter;
-  }
-
-  Result<bool> Accepts(const schema::Schema& query) const {
-    engine::BatchMatchOptions options;
-    options.num_threads = 4;
-    options.candidate_limit = 4;
-    options.prepared_repository = &*prepared_;
-    SMB_ASSIGN_OR_RETURN(match::AnswerSet answers,
-                         engine::BatchMatchEngine(options).Run(
-                             *matcher_, query, *repo_, options_));
-    return answers.size() >= low_ && answers.size() <= high_;
-  }
-
- private:
-  VolumeFilter() = default;
-
-  match::MatchOptions options_ = ServeMatchOptions(0.25);
-  uint64_t low_ = 0;
-  uint64_t high_ = 0;
-  std::optional<schema::SchemaRepository> repo_;
-  std::unique_ptr<match::Matcher> matcher_;
-  std::optional<index::PreparedRepository> prepared_;
-};
-
 Status RunRequests(const CommandLine& cl) {
   const std::string out = cl.Get("out");
   if (out.empty()) return Status::InvalidArgument("--out required");
   SMB_ASSIGN_OR_RETURN(synth::SchemaStream stream, MakeStream(cl));
-  std::unique_ptr<VolumeFilter> filter;
-  if (cl.Has("volume-band")) {
-    SMB_ASSIGN_OR_RETURN(filter, VolumeFilter::Open(cl.Get("collection"),
-                                                    cl.Get("volume-band")));
-  }
   SMB_ASSIGN_OR_RETURN(uint64_t num_queries, cl.GetUint("queries", 16));
-  SMB_ASSIGN_OR_RETURN(uint64_t query_elements,
-                       cl.GetUint("query-elements", 5));
   SMB_ASSIGN_OR_RETURN(uint64_t seed, cl.GetUint("seed", 1));
   SMB_RETURN_IF_ERROR(EnsureDirectory(out));
 
   // Distinct after folding: two queries that fold alike share a cache key,
   // which would turn a workload's "never sent before" into a hit.
-  const match::MatchOptions options = ServeMatchOptions(0.25);
+  const match::MatchOptions options = ServeMatchOptions();
   std::unordered_set<uint64_t> seen;
   std::vector<std::string> files;
   Rng rng(seed ^ 0x632BE59BD9B4E019ULL);
   for (uint64_t attempt = 0; files.size() < num_queries; ++attempt) {
-    if (attempt > num_queries * (filter ? 64 : 8) + 64) {
+    if (attempt > num_queries * 8 + 64) {
       return Status::FailedPrecondition(
           "vocabulary too small for " + std::to_string(num_queries) +
           " distinct queries");
     }
     SMB_ASSIGN_OR_RETURN(
         schema::Schema query,
-        stream.GenerateQuery(static_cast<size_t>(query_elements), &rng));
+        stream.GenerateQuery(kQueryElements, &rng));
     if (!seen.insert(match::FingerprintPreparedSchema(
                          query, options.objective.name))
              .second) {
       continue;
-    }
-    if (filter) {
-      SMB_ASSIGN_OR_RETURN(bool accepted, filter->Accepts(query));
-      if (!accepted) continue;
     }
     const std::string file = StrFormat("q%04zu.txt", files.size());
     SMB_RETURN_IF_ERROR(io::WriteTextFile(out + "/" + file,
@@ -461,7 +408,6 @@ Status RunReplay(const CommandLine& cl) {
   }
   SMB_ASSIGN_OR_RETURN(std::vector<PlanEntry> plan,
                        ReadReplayPlan(cl.Get("plan")));
-  SMB_ASSIGN_OR_RETURN(double delta, cl.GetDouble("delta", 0.25));
   SMB_ASSIGN_OR_RETURN(double base_target, cl.GetDouble("target-bound", 0.0));
   SMB_ASSIGN_OR_RETURN(double min_target,
                        cl.GetDouble("min-target-bound", base_target));
@@ -478,7 +424,7 @@ Status RunReplay(const CommandLine& cl) {
   }
 
   Tracer tracer(!spans_path.empty());
-  const match::MatchOptions match_options = ServeMatchOptions(delta);
+  const match::MatchOptions match_options = ServeMatchOptions();
 
   // Set-up, in the order `serve::OpenServingIndex` performs it, plus an
   // index build the server skips (it loads the snapshot) for the build
@@ -616,7 +562,7 @@ Status RunReplay(const CommandLine& cl) {
         ScopedSpan s(&tracer, "index.adaptive", probe_span.id(), entry.id);
         SMB_ASSIGN_OR_RETURN(
             index::QueryCandidates adaptive,
-            probe.GenerateAdaptive(query, *eopts.adaptive, delta));
+            probe.GenerateAdaptive(query, *eopts.adaptive, kServeDelta));
         (void)adaptive;
       }
     }
@@ -653,7 +599,6 @@ struct LoadRecord {
   size_t entry = 0;
   size_t connection = 0;
   int64_t scheduled_ns = 0;
-  int64_t free_ns = 0;
   int64_t sent_ns = 0;
   int64_t received_ns = 0;
   int64_t count = -1;
@@ -709,7 +654,7 @@ class LoadClient {
           record.index = next_index_++;
         }
         record.connection = connection;
-        record.free_ns = record.scheduled_ns = Now();
+        record.scheduled_ns = Now();
         Send(connection, &record);
         out->push_back(std::move(record));
       }
@@ -731,7 +676,6 @@ class LoadClient {
           record.index = next_index_++;
         }
         record.connection = connection;
-        record.free_ns = Now();
         record.scheduled_ns =
             start_ns + plan_[record.entry].offset_us * 1000;
         std::this_thread::sleep_until(
@@ -869,7 +813,7 @@ Status RunLoad(const CommandLine& cl) {
   for (const LoadRecord& r : client.records()) {
     out << r.index << "\t" << r.entry << "\t"
         << client.plan()[r.entry].phase << "\t" << r.connection << "\t"
-        << r.scheduled_ns << "\t" << r.free_ns << "\t" << r.sent_ns << "\t"
+        << r.scheduled_ns << "\t" << r.sent_ns << "\t"
         << r.received_ns << "\t" << r.count << "\t" << r.reply << "\n";
   }
   return io::WriteTextFile(out_path, out.str());
