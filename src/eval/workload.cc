@@ -1,12 +1,9 @@
 #include "eval/workload.h"
 
-#include <optional>
 #include <unordered_set>
 #include <utility>
 
 #include "common/timing.h"
-#include "index/prepared_repository.h"
-#include "index/snapshot.h"
 
 /// \file workload.cc
 /// \brief Workload runner: repository + query batch through a matcher to
@@ -54,14 +51,15 @@ Result<WorkloadResult> RunWorkload(const match::Matcher& matcher,
 Result<IndexedWorkloadResult> RunIndexedWorkload(
     const match::Matcher& matcher,
     const std::vector<MatchingProblem>& problems,
-    const schema::SchemaRepository& repo, const match::MatchOptions& options,
+    const index::PreparedRepository& prepared,
+    const match::MatchOptions& options,
     const std::vector<double>& thresholds,
     const IndexedWorkloadOptions& workload_options) {
   if (problems.empty()) {
     return Status::InvalidArgument("workload has no matching problems");
   }
-  if (!workload_options.adaptive.has_value() &&
-      workload_options.candidate_limit == 0) {
+  engine::BatchMatchOptions sparse_opts = workload_options.engine_options;
+  if (!sparse_opts.adaptive.has_value() && sparse_opts.candidate_limit == 0) {
     return Status::InvalidArgument(
         "candidate_limit must be positive (or set `adaptive` for the "
         "bound-driven mode)");
@@ -69,48 +67,8 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
 
   IndexedWorkloadResult result;
   result.system_name = matcher.name();
+  const schema::SchemaRepository& repo = prepared.repo();
 
-  // Prepare once: the query-independent index every query shares. In
-  // snapshot mode a previous run's prepared form is loaded from disk;
-  // only a *missing* file falls back to build-then-save — a snapshot that
-  // exists but fails to load (corruption, option or repository mismatch)
-  // is a hard error, so results can never silently come from a different
-  // index than the caller asked for.
-  std::optional<index::PreparedRepository> prepared_storage;
-  if (!workload_options.snapshot_path.empty()) {
-    Clock::time_point load_start = Clock::now();
-    auto loaded = index::LoadSnapshot(workload_options.snapshot_path, repo,
-                                      options.objective.name,
-                                      workload_options.num_threads);
-    if (loaded.ok()) {
-      result.index_load_seconds = SecondsSince(load_start);
-      result.loaded_from_snapshot = true;
-      prepared_storage = std::move(loaded).value();
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      return loaded.status();
-    }
-  }
-  if (!prepared_storage.has_value()) {
-    Clock::time_point build_start = Clock::now();
-    SMB_ASSIGN_OR_RETURN(
-        prepared_storage,
-        index::PreparedRepository::Build(repo, options.objective.name));
-    result.index_build_seconds = SecondsSince(build_start);
-    if (!workload_options.snapshot_path.empty()) {
-      Clock::time_point save_start = Clock::now();
-      SMB_RETURN_IF_ERROR(index::SaveSnapshot(
-          *prepared_storage, workload_options.snapshot_path));
-      result.snapshot_save_seconds = SecondsSince(save_start);
-    }
-  }
-  index::PreparedRepository& prepared = *prepared_storage;
-
-  engine::BatchMatchOptions sparse_opts;
-  sparse_opts.num_threads = workload_options.num_threads;
-  sparse_opts.shard_size = workload_options.shard_size;
-  sparse_opts.global_top_k = workload_options.global_top_k;
-  sparse_opts.candidate_limit = workload_options.candidate_limit;
-  sparse_opts.adaptive = workload_options.adaptive;
   sparse_opts.prepared_repository = &prepared;
   engine::BatchMatchEngine sparse_engine(sparse_opts);
 

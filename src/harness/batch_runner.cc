@@ -2,22 +2,17 @@
 
 #include <filesystem>
 #include <memory>
-#include <set>
 #include <sstream>
 #include <utility>
 
 #include "common/strings.h"
 #include "common/table.h"
 #include "common/timing.h"
-#include "engine/query_cache.h"
 #include "eval/trace.h"
 #include "harness/trace_executor.h"
 #include "io/csv.h"
 #include "schema/text_format.h"
-#include "serve/load_shed.h"
-#include "serve/match_service.h"
-#include "serve/serving_index.h"
-#include "sim/synonyms.h"
+#include "serve/service_spec.h"
 #include "synth/stream.h"
 
 /// \file batch_runner.cc
@@ -30,42 +25,40 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Every key the runner understands. Anything else in a spec is an error
-/// at batch start, so a typo fails before the first repository builds.
-const std::set<std::string>& KnownKeys() {
-  static const std::set<std::string> kKeys = {
-      // Repository synthesis.
-      "repo_schemas", "vocab_size", "zipf_name", "min_elements",
-      "max_elements", "typed_leaf_fraction",
-      // Query derivation.
-      "queries", "query_elements",
-      // Trace generation.
-      "requests", "zipf_query", "rate_qps", "deadline_ms", "target_mix",
-      // Replay pacing.
-      "open_loop", "speed", "threads",
-      // Service configuration.
-      "policy", "candidates", "target_bound", "min_target", "matcher",
-      "top_k", "cache_capacity", "engine_threads", "delta",
-      // Shared.
-      "seed"};
-  return kKeys;
-}
+/// The workload settings (everything but the service, whose settings come
+/// from serve::ServiceSettingNames()): `loadtest` flag and batch key.
+constexpr serve::SettingName kWorkloadSettings[] = {
+    // Repository synthesis, query derivation, trace generation, replay
+    // pacing (plus the `--open-loop` switch, `open_loop=1`), shared seed.
+    {"schemas", "repo_schemas"},     {"vocab", "vocab_size"},
+    {"zipf-name", "zipf_name"},      {"min-elements", "min_elements"},
+    {"max-elements", "max_elements"},
+    {"typed-fraction", "typed_leaf_fraction"},
+    {"queries", "queries"},          {"query-elements", "query_elements"},
+    {"requests", "requests"},        {"zipf-query", "zipf_query"},
+    {"rate-qps", "rate_qps"},        {"deadline-ms", "deadline_ms"},
+    {"target-mix", "target_mix"},    {"speed", "speed"},
+    {"replay-threads", "threads"},   {"seed", "seed"},
+};
 
+/// Anything a spec names outside both tables is an error at batch start,
+/// so a typo fails before the first repository builds.
 Status CheckKnownKeys(const eval::ExperimentSpec& spec) {
   for (const auto& [key, value] : spec.params) {
-    if (KnownKeys().count(key) == 0) {
+    bool known = key == "open_loop";
+    for (const serve::SettingName& name : kWorkloadSettings) {
+      known = known || key == name.key;
+    }
+    for (const serve::SettingName& name :
+         serve::ServiceSettingNames()) {
+      known = known || (name.key != nullptr && key == name.key);
+    }
+    if (!known) {
       return Status::InvalidArgument("experiment '" + spec.name +
                                      "': unknown key '" + key + "'");
     }
   }
   return Status::OK();
-}
-
-/// The builtin synonym table (mirrors the CLI: one static table shared by
-/// every experiment's scorer).
-const sim::SynonymTable& BuiltinSynonyms() {
-  static const sim::SynonymTable kSynonyms = sim::SynonymTable::Builtin();
-  return kSynonyms;
 }
 
 Result<std::vector<double>> ParseTargetMix(const eval::ExperimentSpec& spec) {
@@ -156,30 +149,14 @@ Result<ExperimentResult> RunExperiment(const eval::ExperimentSpec& spec,
   replay_options.num_threads = static_cast<size_t>(threads);
   replay_options.open_loop = open_loop != 0;
 
-  const std::string policy = GetParam(spec, "policy", "fixed");
-  if (policy != "fixed" && policy != "target") {
-    return Status::InvalidArgument("experiment '" + spec.name +
-                                   "': policy must be fixed or target (got '" +
-                                   policy + "')");
-  }
-  if (policy == "fixed" && !trace_options.target_mix.empty()) {
+  SMB_ASSIGN_OR_RETURN(serve::ServiceSpec service_spec,
+                       serve::ParseServiceSpec(spec));
+  if (!service_spec.bound_driven() && !trace_options.target_mix.empty()) {
     return Status::InvalidArgument(
         "experiment '" + spec.name +
-        "': target_mix needs policy=target (a fixed-budget service rejects "
+        "': target_mix needs target_bound (a fixed-budget service rejects "
         "per-request targets)");
   }
-  SMB_ASSIGN_OR_RETURN(uint64_t candidates,
-                       GetParamUint(spec, "candidates", 16));
-  SMB_ASSIGN_OR_RETURN(double target_bound,
-                       GetParamDouble(spec, "target_bound", 0.9));
-  SMB_ASSIGN_OR_RETURN(double min_target,
-                       GetParamDouble(spec, "min_target", target_bound));
-  SMB_ASSIGN_OR_RETURN(uint64_t top_k, GetParamUint(spec, "top_k", 0));
-  SMB_ASSIGN_OR_RETURN(uint64_t cache_capacity,
-                       GetParamUint(spec, "cache_capacity", 64));
-  SMB_ASSIGN_OR_RETURN(uint64_t engine_threads,
-                       GetParamUint(spec, "engine_threads", 1));
-  SMB_ASSIGN_OR_RETURN(double delta, GetParamDouble(spec, "delta", 0.25));
 
   const SteadyClock::time_point build_start = SteadyClock::now();
 
@@ -205,49 +182,19 @@ Result<ExperimentResult> RunExperiment(const eval::ExperimentSpec& spec,
     query_files.push_back(file);
   }
 
-  // Assemble the in-process service exactly like `matchbounds serve` does,
-  // so batch numbers are comparable to a live deployment's.
-  match::MatchOptions match_options;
-  match_options.delta_threshold = delta;
-  match_options.objective.name.synonyms = &BuiltinSynonyms();
-
-  serve::ServingIndexOptions index_options;
-  index_options.matcher_kind = GetParam(spec, "matcher", "exhaustive");
-  index_options.name_options = match_options.objective.name;
-  index_options.num_threads = static_cast<size_t>(engine_threads);
+  // Built exactly as `matchbounds serve` builds, so batch numbers are
+  // comparable to a live deployment's.
   SMB_ASSIGN_OR_RETURN(
       std::shared_ptr<const serve::ServingIndex> index,
-      serve::BuildServingIndex(std::move(repo), index_options,
+      serve::BuildServingIndex(std::move(repo), service_spec.index_options(),
                                /*generation=*/1));
-
-  serve::LoadShedPolicy shed;
-  engine::QueryResultCache cache(static_cast<size_t>(cache_capacity));
-  serve::MatchServiceConfig service_config;
-  service_config.match_options = match_options;
-  service_config.engine_options.num_threads =
-      static_cast<size_t>(engine_threads);
-  service_config.engine_options.global_top_k = static_cast<size_t>(top_k);
-  if (policy == "target") {
-    index::AdaptiveCandidatePolicy adaptive;
-    adaptive.min_provable_completeness = target_bound;
-    service_config.engine_options.adaptive = adaptive;
-    service_config.engine_options.candidate_limit = 0;
-    shed.base_target = target_bound;
-    shed.min_target = min_target;
-    SMB_RETURN_IF_ERROR(serve::ValidateLoadShedPolicy(shed));
-  } else {
-    service_config.engine_options.candidate_limit =
-        static_cast<size_t>(candidates);
-  }
-  service_config.cache = &cache;
-  service_config.shed = shed;
-  service_config.index_options = index_options;
-  serve::MatchService service(index, service_config);
+  serve::BuiltMatchService built =
+      serve::BuildMatchService(service_spec, std::move(index));
 
   ExperimentResult result;
   result.name = spec.name;
   result.repo_schemas = stream_options.num_schemas;
-  result.policy = policy;
+  result.policy = service_spec.bound_driven() ? "target" : "fixed";
   result.build_seconds = SecondsSince(build_start);
 
   SMB_ASSIGN_OR_RETURN(eval::WorkloadTrace trace,
@@ -260,7 +207,7 @@ Result<ExperimentResult> RunExperiment(const eval::ExperimentSpec& spec,
     SMB_RETURN_IF_ERROR(EnsureDirectory(answers_dir));
   }
   TraceBindings bindings = ResolveTraceBindings(trace, exp_dir, answers_dir);
-  InProcessTraceExecutor executor(&service, std::move(bindings));
+  InProcessTraceExecutor executor(built.service.get(), std::move(bindings));
   SMB_ASSIGN_OR_RETURN(result.report,
                        eval::ReplayTrace(trace, &executor, replay_options));
   // The raw outcomes exist for reconciliation tests; a sweep only needs
@@ -284,6 +231,21 @@ std::string JsonEscape(const std::string& s) {
 }
 
 }  // namespace
+
+eval::ExperimentSpec ExperimentFromCommandLine(const CommandLine& cl) {
+  eval::ExperimentSpec spec;
+  spec.name = cl.Get("label", "loadtest");
+  for (const serve::SettingName& name : kWorkloadSettings) {
+    if (cl.Has(name.flag)) spec.params[name.key] = cl.Get(name.flag);
+  }
+  for (const serve::SettingName& name : serve::ServiceSettingNames()) {
+    if (name.key != nullptr && cl.Has(name.flag)) {
+      spec.params[name.key] = cl.Get(name.flag);
+    }
+  }
+  if (cl.Has("open-loop")) spec.params["open_loop"] = "1";
+  return spec;
+}
 
 Result<std::vector<ExperimentResult>> RunExperimentBatch(
     const eval::ExperimentBatch& batch, const BatchRunOptions& options) {

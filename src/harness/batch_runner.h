@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/result.h"
 #include "eval/experiment_batch.h"
 #include "eval/load_harness.h"
@@ -22,12 +23,16 @@
 /// counter) can gate sweeps against each other.
 ///
 /// Recognized experiment keys (anything else is an error at batch start):
-/// `repo_schemas, vocab_size, zipf_name, min_elements, max_elements,
-/// typed_leaf_fraction, queries, query_elements, requests, zipf_query,
-/// rate_qps, open_loop, speed, threads, engine_threads, policy
-/// (fixed|target), candidates, target_bound, min_target, target_mix
-/// (comma-separated bounds), deadline_ms, matcher, top_k, cache_capacity,
-/// seed` — defaults in batch_runner.cc, semantics in docs/loadtest.md.
+/// the workload keys `repo_schemas, vocab_size, zipf_name, min_elements,
+/// max_elements, typed_leaf_fraction, queries, query_elements, requests,
+/// zipf_query, rate_qps, open_loop, speed, threads, target_mix
+/// (comma-separated bounds), deadline_ms, seed` (defaults in
+/// batch_runner.cc), plus the service keys of serve::ServiceSettingNames()
+/// (`delta, matcher, engine_threads, top_k, candidates, cache_capacity,
+/// target_bound, min_target`), parsed by serve::ParseServiceSpec exactly
+/// as `matchbounds serve` parses its flags. The policy is derived: an
+/// experiment is bound-driven iff it sets `target_bound`. Semantics in
+/// docs/loadtest.md.
 
 namespace smb::harness {
 
@@ -57,6 +62,12 @@ struct ExperimentResult {
   double build_seconds = 0.0;
   eval::LoadReplayReport report;
 };
+
+/// \brief The one experiment `matchbounds loadtest` synth mode runs: each
+/// workload or service flag present on `cl` becomes its batch key
+/// (`--label` names it, `--open-loop` sets `open_loop=1`); absent ones
+/// keep the runner's defaults.
+eval::ExperimentSpec ExperimentFromCommandLine(const CommandLine& cl);
 
 /// \brief Runs every experiment of `batch` in order, writing CSV/JSON per
 /// `options`. Fails fast on unknown keys or invalid parameter values;

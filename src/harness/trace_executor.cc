@@ -98,25 +98,11 @@ std::string FormatTraceRequestLine(const TraceBindings& bindings,
   return line.str();
 }
 
-Result<std::unique_ptr<LiveTraceExecutor::Connection>>
-LiveTraceExecutor::Acquire() {
-  {
-    MutexLock lock(mutex_);
-    if (!pool_.empty()) {
-      std::unique_ptr<Connection> connection = std::move(pool_.back());
-      pool_.pop_back();
-      return connection;
-    }
-  }
-  SMB_ASSIGN_OR_RETURN(serve::Socket socket, serve::ConnectTo(host_, port_));
-  auto connection = std::make_unique<Connection>();
-  connection->socket = std::move(socket);
-  return connection;
-}
-
-void LiveTraceExecutor::Release(std::unique_ptr<Connection> connection) {
-  MutexLock lock(mutex_);
-  pool_.push_back(std::move(connection));
+LiveTraceExecutor::LiveTraceExecutor(std::string host, uint16_t port,
+                                     TraceBindings bindings)
+    : bindings_(std::move(bindings)) {
+  client_options_.host = std::move(host);
+  client_options_.port = port;
 }
 
 eval::TraceOutcome LiveTraceExecutor::Execute(
@@ -125,37 +111,32 @@ eval::TraceOutcome LiveTraceExecutor::Execute(
       request.class_index >= bindings_.classes.size()) {
     return ErrorOutcome("trace request indices out of binding range");
   }
-  Result<std::unique_ptr<Connection>> lease = Acquire();
-  if (!lease.ok()) {
-    return ErrorOutcome("connect: " + lease.status().ToString());
-  }
-  std::unique_ptr<Connection> connection = *std::move(lease);
-  const std::string line =
-      FormatTraceRequestLine(bindings_, index, request) + "\n";
-  if (Status written = serve::WriteAll(connection->socket, line);
-      !written.ok()) {
-    // Broken connection: drop it (do not pool it back).
-    return ErrorOutcome("send: " + written.ToString());
-  }
-  std::string reply;
-  Result<bool> more = connection->reader.ReadLine(&reply);
-  if (!more.ok()) return ErrorOutcome("recv: " + more.status().ToString());
-  if (!*more) return ErrorOutcome("server closed the connection");
-  eval::TraceOutcome outcome;
-  if (reply.rfind("ok ", 0) == 0) {
-    Result<serve::MatchResponse> response =
-        serve::ParseMatchResponse(reply);
-    if (!response.ok()) {
-      return ErrorOutcome("parse: " + response.status().ToString());
+  std::unique_ptr<serve::ClientSession> session;
+  {
+    MutexLock lock(mutex_);
+    if (!idle_.empty()) {
+      session = std::move(idle_.back());
+      idle_.pop_back();
     }
-    outcome = FromResponse(*response);
-  } else {
-    // `err <path> <message>` (or anything unexpected) — the connection
-    // itself is still healthy, pool it back below.
-    outcome = ErrorOutcome(reply);
   }
-  Release(std::move(connection));
-  return outcome;
+  if (session == nullptr) {
+    session = std::make_unique<serve::ClientSession>(client_options_);
+  }
+  Result<std::string> reply =
+      session->RoundTrip(FormatTraceRequestLine(bindings_, index, request));
+  {
+    MutexLock lock(mutex_);
+    idle_.push_back(std::move(session));
+  }
+  if (!reply.ok()) return ErrorOutcome(reply.status().ToString());
+  // `err <path> <message>` (or anything unexpected) is a failed request
+  // on a healthy connection.
+  if (reply->rfind("ok ", 0) != 0) return ErrorOutcome(*reply);
+  Result<serve::MatchResponse> response = serve::ParseMatchResponse(*reply);
+  if (!response.ok()) {
+    return ErrorOutcome("parse: " + response.status().ToString());
+  }
+  return FromResponse(*response);
 }
 
 }  // namespace smb::harness

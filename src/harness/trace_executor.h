@@ -11,7 +11,7 @@
 #include "eval/load_harness.h"
 #include "eval/trace.h"
 #include "serve/match_service.h"
-#include "serve/socket_io.h"
+#include "serve/replay_client.h"
 
 /// \file trace_executor.h
 /// \brief The two real `eval::TraceExecutor` implementations.
@@ -24,8 +24,8 @@
 ///    `serve::MatchService` at pressure 0 (no queue, no shedding): the
 ///    offline ground truth a live replay is compared against.
 ///  * `LiveTraceExecutor` — speaks the serve line protocol over TCP to a
-///    running `matchbounds serve` endpoint, one pooled connection per
-///    replay thread.
+///    running `matchbounds serve` endpoint through the serve client
+///    (`serve::ClientSession`), one pooled session per replay thread.
 ///
 /// Both resolve trace query indices through the same `TraceBindings`, so
 /// request `i` names the same query file and the same answers-out path in
@@ -71,37 +71,25 @@ class InProcessTraceExecutor : public eval::TraceExecutor {
 
 /// \brief Answers requests over the serve TCP line protocol.
 ///
-/// Connections are pooled: each `Execute` leases one (opening a new one
-/// when the pool is dry), performs a blocking request/response round
-/// trip, and returns it. A connection that fails mid-round-trip is
-/// dropped, not returned — the next lease dials fresh, so one broken
-/// socket costs one request, not the replay.
+/// Sessions are pooled: each `Execute` leases one (a new one when the
+/// pool is dry), performs a blocking round trip and returns it. A session
+/// whose connection failed mid-round-trip has already dropped it and
+/// dials fresh on its next use, so one broken socket costs one request,
+/// not the replay. Transport failures are not retried.
 class LiveTraceExecutor : public eval::TraceExecutor {
  public:
-  /// Dials nothing yet (connections open lazily per replay thread).
-  LiveTraceExecutor(std::string host, uint16_t port, TraceBindings bindings)
-      : host_(std::move(host)), port_(port), bindings_(std::move(bindings)) {}
+  /// Dials nothing yet (sessions connect lazily per replay thread).
+  LiveTraceExecutor(std::string host, uint16_t port, TraceBindings bindings);
 
   eval::TraceOutcome Execute(uint64_t index,
                              const eval::TraceRequest& request) override;
 
  private:
-  /// One pooled connection with its buffered reader. Heap-allocated so
-  /// the reader's socket pointer stays stable across pool moves.
-  struct Connection {
-    serve::Socket socket;
-    serve::LineReader reader{&socket};
-  };
-
-  Result<std::unique_ptr<Connection>> Acquire() SMB_EXCLUDES(mutex_);
-  void Release(std::unique_ptr<Connection> connection)
-      SMB_EXCLUDES(mutex_);
-
-  std::string host_;
-  uint16_t port_ = 0;
+  serve::ReplayClientOptions client_options_;
   TraceBindings bindings_;
   Mutex mutex_;
-  std::vector<std::unique_ptr<Connection>> pool_ SMB_GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<serve::ClientSession>> idle_
+      SMB_GUARDED_BY(mutex_);
 };
 
 /// \brief Formats the protocol line for one trace request (shared by the

@@ -5,6 +5,7 @@
 
 #include "common/strings.h"
 #include "common/table.h"
+#include "serve/serving_index.h"
 
 /// \file protocol.cc
 /// \brief Request/response line parsing and formatting.
@@ -202,6 +203,16 @@ std::string FormatErrorResponse(const std::string& query_path,
                                 const Status& status) {
   std::ostringstream out;
   out << "err " << (query_path.empty() ? "-" : query_path) << " " << status;
+  return out.str();
+}
+
+std::string FormatReloadResponse(const ServingIndex& index) {
+  std::ostringstream out;
+  out << "reloaded generation=" << index.generation
+      << " source=" << index.source
+      << " schemas=" << index.repo.schema_count()
+      << " load_ms=" << FormatDouble(index.load_seconds * 1e3, 2);
+  if (index.used_backup) out << " backup=yes";
   return out.str();
 }
 

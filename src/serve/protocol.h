@@ -10,7 +10,7 @@
 /// \file protocol.h
 /// \brief The serve wire protocol: newline-delimited request and response
 /// lines shared by the network server, the offline `--requests` replay
-/// mode and the multi-connection replay client.
+/// mode and the serve client.
 ///
 /// Request grammar (one request per line; `#`-prefixed and blank lines are
 /// ignored):
@@ -120,6 +120,12 @@ Result<MatchResponse> ParseMatchResponse(const std::string& line);
 /// \brief Formats an `err` response line for `query_path` (no newline).
 std::string FormatErrorResponse(const std::string& query_path,
                                 const Status& status);
+
+struct ServingIndex;
+
+/// \brief Formats the `reloaded` response for a freshly swapped-in
+/// generation (no newline); offline and network mode share it.
+std::string FormatReloadResponse(const ServingIndex& index);
 
 /// \brief Splits the `key=value` fields of a response line (everything
 /// after the leading `<verb> [<path>]` tokens) into a map — the generic

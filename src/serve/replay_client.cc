@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "serve/protocol.h"
-#include "serve/socket_io.h"
 
 /// \file replay_client.cc
 /// \brief Round-robin fan-out of a request file over N connections, with
@@ -27,103 +26,81 @@ struct ConnectionTask {
   uint64_t reconnects = 0;
 };
 
-/// Serial per-connection replay session with reconnect-and-resend.
-class ConnectionSession {
- public:
-  ConnectionSession(const ReplayClientOptions& options, size_t connection_id)
-      : options_(options),
-        jitter_rng_(options.retry_jitter_seed + connection_id) {}
-
-  /// Sends `line` and reads its response, retrying transport failures up
-  /// to the per-request budget. `attempts_out` reports retries consumed.
-  Result<std::string> RoundTrip(const std::string& line,
-                                uint32_t* attempts_out, uint64_t* reconnects) {
-    *attempts_out = 0;
-    for (;;) {
-      Status attempt = TryOnce(line, reconnects);
-      if (attempt.ok()) return std::move(response_);
-      // The connection is suspect after any transport failure: throw it
-      // away so the retry starts from a fresh connect.
-      socket_ = serve::Socket();
-      reader_.reset();
-      if (*attempts_out >= options_.max_retries) {
-        return attempt.WithContext("request '" + line + "' failed after " +
-                                   std::to_string(*attempts_out) +
-                                   " retr" +
-                                   (*attempts_out == 1 ? "y" : "ies"));
-      }
-      Backoff(++*attempts_out);
-    }
-  }
-
- private:
-  /// One send+receive over the current (or a fresh) connection.
-  Status TryOnce(const std::string& line, uint64_t* reconnects) {
-    if (!socket_.valid()) {
-      auto connected = serve::ConnectTo(options_.host, options_.port);
-      if (!connected.ok()) return connected.status();
-      socket_ = *std::move(connected);
-      reader_ = std::make_unique<serve::LineReader>(&socket_);
-      if (connected_before_) ++*reconnects;
-      connected_before_ = true;
-    }
-    SMB_RETURN_IF_ERROR(serve::WriteAll(socket_, line + "\n"));
-    std::string response;
-    SMB_ASSIGN_OR_RETURN(const bool more, reader_->ReadLine(&response));
-    if (!more) {
-      return Status::IOError(
-          "server closed the connection before responding");
-    }
-    response_ = std::move(response);
-    return Status::OK();
-  }
-
-  /// Bounded exponential backoff with deterministic ±50% jitter.
-  void Backoff(uint32_t attempt) {
-    double delay_ms = options_.retry_base_ms;
-    for (uint32_t i = 1; i < attempt; ++i) {
-      delay_ms *= 2.0;
-      if (delay_ms >= options_.retry_max_ms) break;
-    }
-    delay_ms = std::min(delay_ms, options_.retry_max_ms);
-    std::uniform_real_distribution<double> jitter(0.5, 1.5);
-    delay_ms *= jitter(jitter_rng_);
-    if (delay_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(delay_ms));
-    }
-  }
-
-  const ReplayClientOptions& options_;
-  serve::Socket socket_;
-  std::unique_ptr<serve::LineReader> reader_;
-  std::string response_;
-  bool connected_before_ = false;
-  std::mt19937_64 jitter_rng_;
-};
-
 /// Runs one connection synchronously: send a line, read its response,
 /// repeat. Writes responses straight into the shared, pre-sized response
 /// vector — each task owns disjoint indices, so no locking is needed.
 void RunConnection(const ReplayClientOptions& options, size_t connection_id,
                    const std::vector<std::string>& request_lines,
                    ConnectionTask* task, ReplayOutcome* outcome) {
-  ConnectionSession session(options, connection_id);
+  ClientSession session(options, connection_id);
   for (size_t index : task->indices) {
     uint32_t attempts = 0;
-    Result<std::string> response = session.RoundTrip(
-        request_lines[index], &attempts, &task->reconnects);
+    Result<std::string> response =
+        session.RoundTrip(request_lines[index], &attempts);
     task->retries += attempts;
     outcome->retries_by_request[index] = attempts;
     if (!response.ok()) {
       task->status = response.status();
-      return;
+      break;
     }
     outcome->responses[index] = *std::move(response);
   }
+  task->reconnects = session.reconnects();
 }
 
 }  // namespace
+
+Result<std::string> ClientSession::RoundTrip(const std::string& line,
+                                             uint32_t* retries) {
+  uint32_t attempts = 0;
+  for (;;) {
+    Result<std::string> response = TryOnce(line);
+    if (retries != nullptr) *retries = attempts;
+    if (response.ok()) return response;
+    // The connection is suspect after any transport failure: throw it
+    // away so the retry starts from a fresh connect.
+    socket_ = Socket();
+    reader_.reset();
+    if (attempts >= options_.max_retries) {
+      return response.status().WithContext(
+          "request '" + line + "' failed after " + std::to_string(attempts) +
+          " retr" + (attempts == 1 ? "y" : "ies"));
+    }
+    Backoff(++attempts);
+  }
+}
+
+Result<std::string> ClientSession::TryOnce(const std::string& line) {
+  if (!socket_.valid()) {
+    SMB_ASSIGN_OR_RETURN(socket_, ConnectTo(options_.host, options_.port));
+    reader_ = std::make_unique<LineReader>(&socket_);
+    if (connected_before_) ++reconnects_;
+    connected_before_ = true;
+  }
+  SMB_RETURN_IF_ERROR(WriteAll(socket_, line + "\n"));
+  std::string response;
+  SMB_ASSIGN_OR_RETURN(const bool more, reader_->ReadLine(&response));
+  if (!more) {
+    return Status::IOError("server closed the connection before responding");
+  }
+  return response;
+}
+
+void ClientSession::Backoff(uint32_t attempt) {
+  // Bounded exponential backoff with deterministic ±50% jitter.
+  double delay_ms = options_.retry_base_ms;
+  for (uint32_t i = 1; i < attempt; ++i) {
+    delay_ms *= 2.0;
+    if (delay_ms >= options_.retry_max_ms) break;
+  }
+  delay_ms = std::min(delay_ms, options_.retry_max_ms);
+  std::uniform_real_distribution<double> jitter(0.5, 1.5);
+  delay_ms *= jitter(jitter_rng_);
+  if (delay_ms > 0.0) {
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(delay_ms));
+  }
+}
 
 Result<ReplayOutcome> ReplayRequests(
     const ReplayClientOptions& options,

@@ -1,21 +1,26 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "serve/socket_io.h"
 
 /// \file replay_client.h
-/// \brief Multi-connection replay client for the serve frontend: sends a
-/// canned request file over N concurrent TCP connections and collects the
+/// \brief The wire client of the serve frontend: a retrying
+/// per-connection `ClientSession`, and `ReplayRequests`, which sends a
+/// canned request file over N concurrent sessions and collects the
 /// responses in request order.
 ///
-/// This is the measurement/verification harness for the concurrent server:
-/// CI replays the same requests over several connections and byte-diffs
-/// the written answers against a single-threaded in-memory run, and the
-/// serve benchmark uses it to drive throughput. Requests are distributed
-/// round-robin across connections; each connection sends strictly
+/// It is the only client under `src/` and `tools/`: `matchbounds client`
+/// replays through `ReplayRequests`, the load harness's live trace
+/// executor leases one `ClientSession` per replay thread. (The serving
+/// benchmark under `perfbench/` keeps its own C++ client.) Requests are
+/// distributed round-robin across connections; each connection sends strictly
 /// request-by-request (write line, read response line), which matches the
 /// server's per-connection ordering guarantee.
 ///
@@ -44,6 +49,38 @@ struct ReplayClientOptions {
   double retry_max_ms = 1000.0;
   /// Seed of the deterministic backoff jitter (±50% of the delay).
   uint64_t retry_jitter_seed = 1;
+};
+
+/// \brief One connection's serial request/response session. `RoundTrip`
+/// connects lazily; after a transport failure it drops the connection,
+/// backs off, reconnects and re-sends, up to `max_retries` times per
+/// request. Not thread-safe: one thread drives a session at a time.
+class ClientSession {
+ public:
+  /// `session_id` offsets the jitter seed, so concurrent sessions back
+  /// off differently but deterministically.
+  explicit ClientSession(ReplayClientOptions options, size_t session_id = 0)
+      : options_(std::move(options)),
+        jitter_rng_(options_.retry_jitter_seed + session_id) {}
+
+  /// Sends `line` (no trailing newline) and returns its response line.
+  /// `retries`, when given, receives the retries this request consumed.
+  Result<std::string> RoundTrip(const std::string& line,
+                                uint32_t* retries = nullptr);
+
+  /// Reconnects after a connection died mid-session.
+  uint64_t reconnects() const { return reconnects_; }
+
+ private:
+  Result<std::string> TryOnce(const std::string& line);
+  void Backoff(uint32_t attempt);
+
+  ReplayClientOptions options_;
+  Socket socket_;
+  std::unique_ptr<LineReader> reader_;
+  bool connected_before_ = false;
+  uint64_t reconnects_ = 0;
+  std::mt19937_64 jitter_rng_;
 };
 
 /// \brief Everything a replay produced.

@@ -156,14 +156,7 @@ void MatchServer::ConnectionLoop(Connection* connection) {
           service_->Reload(request->snapshot_path, request->repo_dir);
       std::string reply;
       if (swapped.ok()) {
-        const ServingIndex& index = **swapped;
-        std::ostringstream out;
-        out << "reloaded generation=" << index.generation
-            << " source=" << index.source
-            << " schemas=" << index.repo.schema_count()
-            << " load_ms=" << FormatDouble(index.load_seconds * 1e3, 2);
-        if (index.used_backup) out << " backup=yes";
-        reply = out.str();
+        reply = FormatReloadResponse(**swapped);
       } else {
         ++failed;
         stats_.OnRejected();

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
@@ -48,15 +46,24 @@ WorkloadSetup MakeSetup() {
   return setup;
 }
 
+/// The shared repository index every test passes in (the CLI opens it
+/// through serve::OpenServingIndex).
+index::PreparedRepository Prepare(const WorkloadSetup& setup) {
+  return index::PreparedRepository::Build(setup.repo,
+                                          setup.options.objective.name)
+      .value();
+}
+
 TEST(IndexedWorkloadTest, FullLimitReproducesDenseAnswersWithRecallOne) {
   WorkloadSetup setup = MakeSetup();
   auto matcher = match::MakeMatcher("exhaustive", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
+  const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = setup.max_schema_size + 2;
+  wopts.engine_options.candidate_limit = setup.max_schema_size + 2;
   wopts.compare_dense = true;
-  auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+  auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
                                    setup.options, {0.1, 0.2, 0.25}, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
 
@@ -80,7 +87,6 @@ TEST(IndexedWorkloadTest, FullLimitReproducesDenseAnswersWithRecallOne) {
     EXPECT_TRUE(report.top_answer_retained);
     EXPECT_EQ(report.provably_complete_fraction, 1.0);
   }
-  EXPECT_GT(result->index_build_seconds, 0.0);
   EXPECT_GT(result->stats.candidates_generated, 0u);
   EXPECT_EQ(result->stats.candidates_skipped, 0u);
   // One problem carries truth, so the pooled sparse curve is measurable.
@@ -92,12 +98,13 @@ TEST(IndexedWorkloadTest, SmallLimitReportsRecallBelowOneAndSkips) {
   WorkloadSetup setup = MakeSetup();
   auto matcher = match::MakeMatcher("exhaustive", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
+  const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 2;
-  wopts.num_threads = 2;
+  wopts.engine_options.candidate_limit = 2;
+  wopts.engine_options.num_threads = 2;
   wopts.compare_dense = true;
-  auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+  auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
                                    setup.options, {}, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
 
@@ -115,11 +122,12 @@ TEST(IndexedWorkloadTest, WithoutCompareDenseSkipsDenseRuns) {
   WorkloadSetup setup = MakeSetup();
   auto matcher = match::MakeMatcher("topk", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
+  const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 4;
+  wopts.engine_options.candidate_limit = 4;
   wopts.compare_dense = false;
-  auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+  auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
                                    setup.options, {}, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->dense_answers.empty());
@@ -130,75 +138,23 @@ TEST(IndexedWorkloadTest, WithoutCompareDenseSkipsDenseRuns) {
   }
 }
 
-TEST(IndexedWorkloadTest, SnapshotModeBuildsSavesThenLoads) {
-  WorkloadSetup setup = MakeSetup();
-  auto matcher = match::MakeMatcher("exhaustive", setup.repo);
-  ASSERT_TRUE(matcher.ok()) << matcher.status();
-
-  IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 8;
-  wopts.snapshot_path = ::testing::TempDir() + "/smb_workload_snapshot.bin";
-  std::remove(wopts.snapshot_path.c_str());
-
-  // First run: no snapshot yet — build, save, report build time.
-  auto first = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
-                                  setup.options, {0.1, 0.25}, wopts);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->loaded_from_snapshot);
-  EXPECT_GT(first->index_build_seconds, 0.0);
-  EXPECT_EQ(first->index_load_seconds, 0.0);
-
-  // Second run: the saved snapshot is loaded; answers identical.
-  auto second = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
-                                   setup.options, {0.1, 0.25}, wopts);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_TRUE(second->loaded_from_snapshot);
-  EXPECT_GT(second->index_load_seconds, 0.0);
-  EXPECT_EQ(second->index_build_seconds, 0.0);
-  ASSERT_EQ(first->answers.size(), second->answers.size());
-  for (size_t p = 0; p < first->answers.size(); ++p) {
-    const auto& a = first->answers[p];
-    const auto& b = second->answers[p];
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.mappings()[i].key(), b.mappings()[i].key());
-      EXPECT_EQ(a.mappings()[i].delta, b.mappings()[i].delta);
-    }
-  }
-
-  // A corrupted snapshot is a hard error — never a silent rebuild.
-  {
-    std::ifstream in(wopts.snapshot_path, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    ASSERT_GT(bytes.size(), 100u);
-    bytes[100] ^= 0x7F;  // guaranteed to differ from the original
-    std::ofstream out(wopts.snapshot_path,
-                      std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  auto corrupted = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
-                                      setup.options, {0.1, 0.25}, wopts);
-  ASSERT_FALSE(corrupted.ok());
-  std::remove(wopts.snapshot_path.c_str());
-}
-
 TEST(IndexedWorkloadTest, RejectsEmptyWorkloadAndZeroLimit) {
   WorkloadSetup setup = MakeSetup();
   auto matcher = match::MakeMatcher("exhaustive", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
+  const index::PreparedRepository prepared = Prepare(setup);
   EXPECT_FALSE(
-      RunIndexedWorkload(**matcher, {}, setup.repo, setup.options, {}, {})
+      RunIndexedWorkload(**matcher, {}, prepared, setup.options, {}, {})
           .ok());
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 0;
-  EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+  wopts.engine_options.candidate_limit = 0;
+  EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, prepared,
                                   setup.options, {}, wopts)
                    .ok());
   // The zero limit is fine in the bound-driven mode: candidate_limit is
   // not the budget there.
-  wopts.adaptive = index::AdaptiveCandidatePolicy{};
-  EXPECT_TRUE(RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+  wopts.engine_options.adaptive = index::AdaptiveCandidatePolicy{};
+  EXPECT_TRUE(RunIndexedWorkload(**matcher, setup.problems, prepared,
                                  setup.options, {}, wopts)
                   .ok());
 }
@@ -208,14 +164,15 @@ TEST(IndexedWorkloadTest, AdaptiveModeReportsBudgetAndCertifiedBound) {
   setup.options.delta_threshold = 0.02;  // bound-bites regime
   auto matcher = match::MakeMatcher("exhaustive", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
+  const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.candidate_limit = 0;
+  wopts.engine_options.candidate_limit = 0;
   index::AdaptiveCandidatePolicy policy;
   policy.min_provable_completeness = 0.9;
-  wopts.adaptive = policy;
+  wopts.engine_options.adaptive = policy;
   wopts.compare_dense = true;
-  auto result = RunIndexedWorkload(**matcher, setup.problems, setup.repo,
+  auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
                                    setup.options, {}, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
 

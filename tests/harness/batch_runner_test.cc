@@ -1,5 +1,7 @@
 #include "harness/batch_runner.h"
 
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -89,6 +91,54 @@ TEST(FormatBatchBenchJsonTest, RowsAreCommaSeparatedValidJson) {
   EXPECT_EQ(separators, 5u) << json;
   // The final row closes without a trailing comma before the array end.
   EXPECT_NE(json.find("}\n  ]\n}\n"), std::string::npos) << json;
+}
+
+/// Runs a one-experiment batch that must fail before any repository is
+/// built; returns its status.
+Status RunInvalid(const std::map<std::string, std::string>& params) {
+  eval::ExperimentBatch batch;
+  eval::ExperimentSpec spec;
+  spec.name = "bad";
+  spec.params = params;
+  batch.experiments.push_back(spec);
+  BatchRunOptions options;
+  options.work_dir = ::testing::TempDir() + "/batch_runner_invalid";
+  return RunExperimentBatch(batch, options).status();
+}
+
+TEST(RunExperimentBatchTest, PolicyIsDerivedNotAKey) {
+  const Status status = RunInvalid({{"policy", "target"},
+                                    {"target_bound", "0.9"}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("unknown key 'policy'"), std::string::npos)
+      << status;
+}
+
+TEST(RunExperimentBatchTest, ServiceKeysAreCheckedLikeServeFlags) {
+  // A bound-driven experiment with a fixed budget used to drop the
+  // budget silently; serve rejects the pair, and so does the batch now.
+  Status status = RunInvalid({{"candidates", "8"}, {"target_bound", "0.9"}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  status = RunInvalid({{"min_target", "0.5"}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  // Per-request targets need a bound-driven service.
+  status = RunInvalid({{"target_mix", "0.9"}});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST(ExperimentFromCommandLineTest, TranslatesServiceAndWorkloadFlags) {
+  const char* argv[] = {"matchbounds", "loadtest", "--label=x",
+                        "--schemas=100", "--replay-threads=2", "--threads=3",
+                        "--target-bound=0.9", "--open-loop", "--beam=2"};
+  const CommandLine cl =
+      CommandLine::Parse(static_cast<int>(std::size(argv)), argv).value();
+  const eval::ExperimentSpec spec = ExperimentFromCommandLine(cl);
+  EXPECT_EQ(spec.name, "x");
+  const std::map<std::string, std::string> expected = {
+      {"repo_schemas", "100"}, {"threads", "2"}, {"engine_threads", "3"},
+      {"target_bound", "0.9"}, {"open_loop", "1"}};
+  // --beam has no batch key: it stays a command-line-only setting.
+  EXPECT_EQ(spec.params, expected);
 }
 
 }  // namespace

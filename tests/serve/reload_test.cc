@@ -168,6 +168,22 @@ TEST_F(ReloadFixture, CorruptSnapshotIsRejectedAndTheOldIndexKeepsServing) {
   EXPECT_GT(response->answers, 0u);
 }
 
+TEST_F(ReloadFixture, StartupOpenLoadsTheSavedSnapshotAndRejectsACorruptOne) {
+  // The startup path every front end shares (`serve`, `workload`,
+  // `loadtest --trace`): the snapshot the fixture saved loads ...
+  ServingIndexOptions startup;
+  startup.save_after_build = true;
+  auto reopened = OpenServingIndex(repo_dir_, snapshot_path_, startup, 1);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->source, "snapshot");
+  // ... and one that exists but is corrupt is fatal even though building
+  // is allowed: never a silent rebuild from a different index.
+  ASSERT_TRUE(io::WriteBinaryFile(snapshot_path_, "garbage").ok());
+  fs::remove(snapshot_path_ + ".bak");
+  auto corrupted = OpenServingIndex(repo_dir_, snapshot_path_, startup, 1);
+  EXPECT_FALSE(corrupted.ok());
+}
+
 TEST_F(ReloadFixture, MissingSnapshotIsAnErrorOnReloadNotARebuild) {
   fs::remove(snapshot_path_);
   fs::remove(snapshot_path_ + ".bak");

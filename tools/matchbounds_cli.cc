@@ -31,7 +31,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "bounds/bounds_report.h"
@@ -50,20 +49,19 @@
 #include "harness/trace_executor.h"
 #include "serve/replay_client.h"
 #include "eval/workload.h"
-#include "index/snapshot.h"
+#include "index/candidate_generator.h"
 #include "eval/answer_set_io.h"
 #include "bounds/curve_io.h"
 #include "io/csv.h"
 #include "io/fault_injection.h"
-#include "match/fingerprint.h"
 #include "match/matcher_factory.h"
 #include "schema/text_format.h"
 #include "schema/xsd_reader.h"
-#include "serve/load_shed.h"
 #include "sim/simd_dispatch.h"
 #include "serve/match_service.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/service_spec.h"
 #include "serve/serving_index.h"
 #include "schema/stats.h"
 #include "schema/xsd_writer.h"
@@ -147,7 +145,8 @@ commands:
             SIGTERM/SIGINT drains gracefully (every admitted request is
             answered, `drained ... dropped=0`)
             [--requests=FILE] offline mode: replay request lines from
-            FILE (default: stdin) in-process until EOF/quit
+            FILE in-process until EOF/quit (serve needs --listen or
+            --requests)
             Answers are served through a concurrent sharded LRU result
             cache keyed by (prepared query fingerprint, match options
             incl. the effective target bound); every response reports
@@ -204,12 +203,6 @@ environment:
             e.g. "seed=7,socket.recv=0.05:reset,file.fsync@3"; see
             docs/serving.md for the full site list and grammar
 )";
-}
-
-Result<schema::SchemaRepository> LoadRepository(const std::string& dir) {
-  // Shared with the serve reload path (serving_index.cc), so a reloaded
-  // repository fingerprints identically to a startup load.
-  return schema::LoadRepositoryDir(dir);
 }
 
 int CmdGenerate(const CommandLine& cl) {
@@ -278,56 +271,6 @@ int CmdGenerate(const CommandLine& cl) {
   return 0;
 }
 
-/// The builtin synonym table every command matches with.
-const sim::SynonymTable& BuiltinSynonyms() {
-  static const sim::SynonymTable kSynonyms = sim::SynonymTable::Builtin();
-  return kSynonyms;
-}
-
-/// Collects the per-matcher CLI knobs for the shared matcher factory.
-Result<match::MatcherFactoryOptions> ParseMatcherOptions(
-    const CommandLine& cl) {
-  match::MatcherFactoryOptions options;
-  SMB_ASSIGN_OR_RETURN(uint64_t beam, cl.GetUint("beam", 6));
-  SMB_ASSIGN_OR_RETURN(uint64_t top_m, cl.GetUint("topm", 4));
-  SMB_ASSIGN_OR_RETURN(uint64_t k, cl.GetUint("k", 10));
-  SMB_ASSIGN_OR_RETURN(uint64_t seed, cl.GetUint("seed", 2006));
-  options.beam_width = static_cast<size_t>(beam);
-  options.top_m_clusters = static_cast<size_t>(top_m);
-  options.k_per_schema = static_cast<size_t>(k);
-  options.cluster_seed = seed;
-  return options;
-}
-
-/// Parses the bound-driven sparse-mode flags (`--target-bound`,
-/// `--initial-candidates`, `--max-candidates`) into an adaptive policy;
-/// empty when `--target-bound` was not given. An explicit `--candidates`
-/// is rejected alongside it — the two select different sparse modes.
-Result<std::optional<index::AdaptiveCandidatePolicy>> ParseAdaptivePolicy(
-    const CommandLine& cl) {
-  if (!cl.Has("target-bound")) {
-    if (cl.Has("initial-candidates") || cl.Has("max-candidates")) {
-      return Status::InvalidArgument(
-          "--initial-candidates/--max-candidates only apply to the "
-          "bound-driven mode; add --target-bound=B");
-    }
-    return std::optional<index::AdaptiveCandidatePolicy>();
-  }
-  if (cl.Has("candidates")) {
-    return Status::InvalidArgument(
-        "--candidates (fixed budget) and --target-bound (bound-driven "
-        "budget) are mutually exclusive");
-  }
-  SMB_ASSIGN_OR_RETURN(double target, cl.GetDouble("target-bound", 1.0));
-  SMB_ASSIGN_OR_RETURN(uint64_t initial, cl.GetUint("initial-candidates", 4));
-  SMB_ASSIGN_OR_RETURN(uint64_t max, cl.GetUint("max-candidates", 0));
-  index::AdaptiveCandidatePolicy policy;
-  policy.min_provable_completeness = target;
-  policy.initial_limit = static_cast<size_t>(initial);
-  policy.max_limit = static_cast<size_t>(max);
-  return std::optional<index::AdaptiveCandidatePolicy>(policy);
-}
-
 void PrintAdaptiveStats(const engine::BatchMatchStats& stats) {
   std::cout << ", adaptive: bound "
             << FormatDouble(stats.adaptive.achieved_completeness * 100.0, 1)
@@ -354,58 +297,43 @@ int CmdMatch(const CommandLine& cl) {
   if (repo_dir.empty() || query_path.empty() || out_path.empty()) {
     return Fail(Status::InvalidArgument("--repo, --query and --out required"));
   }
-  auto repo = LoadRepository(repo_dir);
+  // Unlike a service, `match` runs dense unless asked for candidates.
+  serve::ServiceSpec dense;
+  dense.engine_options.candidate_limit = 0;
+  auto spec = serve::ParseServiceSpec(cl, dense);
+  if (!spec.ok()) return Fail(spec.status());
+  if (cl.Has("shard-size") && !cl.Has("threads")) {
+    return Fail(Status::InvalidArgument(
+        "--shard-size only applies to engine runs; add --threads=N"));
+  }
+  auto shard_size = cl.GetUint("shard-size", 0);
+  if (!shard_size.ok()) return Fail(shard_size.status());
+  spec->engine_options.shard_size = static_cast<size_t>(*shard_size);
+  auto repo = schema::LoadRepositoryDir(repo_dir);
   if (!repo.ok()) return Fail(repo.status());
   auto query_text = io::ReadTextFile(query_path);
   if (!query_text.ok()) return Fail(query_text.status());
   auto query = schema::ParseSchemaText(*query_text);
   if (!query.ok()) return Fail(query.status());
 
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-
-  std::string kind = cl.Get("matcher", "exhaustive");
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-  auto matcher = match::MakeMatcher(kind, *repo, *factory_options);
+  const match::MatchOptions& options = spec->match_options;
+  auto matcher =
+      match::MakeMatcher(spec->matcher_kind, *repo, spec->factory_options);
   if (!matcher.ok()) return Fail(matcher.status());
 
-  auto top = cl.GetUint("top", 0);
-  if (!top.ok()) return Fail(top.status());
-  auto candidates = cl.GetUint("candidates", 0);
-  if (!candidates.ok()) return Fail(candidates.status());
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!adaptive.ok()) return Fail(adaptive.status());
-  if (cl.Has("shard-size") && !cl.Has("threads")) {
-    return Fail(Status::InvalidArgument(
-        "--shard-size only applies to engine runs; add --threads=N"));
-  }
-
+  const engine::BatchMatchOptions& bopts = spec->engine_options;
+  const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
   Result<match::AnswerSet> answers = Status::Internal("unreachable");
   match::MatchStats stats;
-  if (cl.Has("threads") || *candidates > 0 || adaptive->has_value()) {
+  if (cl.Has("threads") || sparse) {
     // Run through the batch engine: repository split across a worker pool;
     // costs come from the shared dense pool, or — with --candidates /
     // --target-bound — from the sparse repository index.
-    auto threads = cl.GetUint("threads", cl.Has("threads") ? 0 : 1);
-    if (!threads.ok()) return Fail(threads.status());
-    auto shard_size = cl.GetUint("shard-size", 0);
-    if (!shard_size.ok()) return Fail(shard_size.status());
-    engine::BatchMatchOptions bopts;
-    bopts.num_threads = static_cast<size_t>(*threads);
-    bopts.shard_size = static_cast<size_t>(*shard_size);
-    bopts.global_top_k = static_cast<size_t>(*top);
-    bopts.candidate_limit = static_cast<size_t>(*candidates);
-    bopts.adaptive = *adaptive;
     engine::BatchMatchEngine batch(bopts);
     engine::BatchMatchStats bstats;
     answers = batch.Run(**matcher, *query, *repo, options, &bstats);
     stats = bstats.match;
     if (answers.ok()) {
-      const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
       std::cout << "engine: " << bstats.shard_count << " shards on "
                 << bstats.threads_used << " threads";
       if (bstats.fell_back_to_single_run) {
@@ -428,16 +356,16 @@ int CmdMatch(const CommandLine& cl) {
     }
   } else {
     answers = (*matcher)->Match(*query, *repo, options, &stats);
-    if (answers.ok() && *top > 0) {
-      answers = answers->TopN(static_cast<size_t>(*top));
+    if (answers.ok() && bopts.global_top_k > 0) {
+      answers = answers->TopN(bopts.global_top_k);
     }
   }
   if (!answers.ok()) return Fail(answers.status());
   if (Status st = eval::WriteAnswerSetFile(out_path, *answers); !st.ok()) {
     return Fail(st);
   }
-  std::cout << kind << " matcher: " << answers->size() << " answers (Δ ≤ "
-            << *delta << "), ";
+  std::cout << spec->matcher_kind << " matcher: " << answers->size()
+            << " answers (Δ ≤ " << options.delta_threshold << "), ";
   PrintMatchStats(stats);
   std::cout << " -> " << out_path << "\n";
   return 0;
@@ -449,8 +377,8 @@ int CmdWorkload(const CommandLine& cl) {
   if (repo_dir.empty() || queries_dir.empty()) {
     return Fail(Status::InvalidArgument("--repo and --queries required"));
   }
-  auto repo = LoadRepository(repo_dir);
-  if (!repo.ok()) return Fail(repo.status());
+  auto spec = serve::ParseServiceSpec(cl);
+  if (!spec.ok()) return Fail(spec.status());
 
   // Every query*.txt in the queries directory is one matching problem.
   std::vector<fs::path> query_files;
@@ -485,65 +413,54 @@ int CmdWorkload(const CommandLine& cl) {
     problems.push_back(std::move(problem));
   }
 
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-
-  std::string kind = cl.Get("matcher", "exhaustive");
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-  auto matcher = match::MakeMatcher(kind, *repo, *factory_options);
-  if (!matcher.ok()) return Fail(matcher.status());
+  // Prepare once, exactly as `serve` opens its first generation: load the
+  // snapshot when it exists (a corrupt or mismatched one is fatal, never
+  // a silent rebuild), otherwise build and — with --snapshot — save it.
+  const std::string snapshot_path = cl.Get("snapshot");
+  auto opened = serve::OpenServingIndex(repo_dir, snapshot_path,
+                                        spec->index_options(),
+                                        /*generation=*/1);
+  if (!opened.ok()) return Fail(opened.status());
+  const serve::ServingIndex& served = **opened;
+  const match::MatchOptions& options = spec->match_options;
+  const engine::BatchMatchOptions& engine_options = spec->engine_options;
 
   eval::IndexedWorkloadOptions wopts;
-  auto candidates = cl.GetUint("candidates", 16);
-  if (!candidates.ok()) return Fail(candidates.status());
-  auto threads = cl.GetUint("threads", 1);
-  if (!threads.ok()) return Fail(threads.status());
-  auto top = cl.GetUint("top", 0);
-  if (!top.ok()) return Fail(top.status());
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!adaptive.ok()) return Fail(adaptive.status());
-  wopts.candidate_limit = static_cast<size_t>(*candidates);
-  wopts.adaptive = *adaptive;
-  wopts.num_threads = static_cast<size_t>(*threads);
-  wopts.global_top_k = static_cast<size_t>(*top);
+  wopts.engine_options = engine_options;
   wopts.compare_dense = cl.Has("compare-dense");
-  wopts.snapshot_path = cl.Get("snapshot");
-
-  auto result = eval::RunIndexedWorkload(**matcher, problems, *repo, options,
+  auto result = eval::RunIndexedWorkload(*served.matcher, problems,
+                                         *served.prepared, options,
                                          /*thresholds=*/{}, wopts);
   if (!result.ok()) return Fail(result.status());
 
   std::cout << result->system_name << " over " << problems.size()
             << " queries (simd="
             << sim::SimdTierName(sim::ActiveSimdTier()) << "), ";
-  if (wopts.adaptive.has_value()) {
+  if (engine_options.adaptive.has_value()) {
     std::cout << "target bound = "
-              << FormatDouble(wopts.adaptive->min_provable_completeness, 2)
-              << " (C grows from " << wopts.adaptive->initial_limit << ")";
+              << FormatDouble(engine_options.adaptive->min_provable_completeness,
+                              2)
+              << " (C grows from " << engine_options.adaptive->initial_limit
+              << ")";
   } else {
-    std::cout << "C = " << wopts.candidate_limit;
+    std::cout << "C = " << engine_options.candidate_limit;
   }
   std::cout << "; ";
-  if (result->loaded_from_snapshot) {
+  if (served.source == "snapshot") {
     std::cout << "index loaded from snapshot in "
-              << FormatDouble(result->index_load_seconds * 1e3, 2) << " ms\n";
+              << FormatDouble(served.load_seconds * 1e3, 2) << " ms\n";
   } else {
     std::cout << "index built once in "
-              << FormatDouble(result->index_build_seconds * 1e3, 2) << " ms";
-    if (!wopts.snapshot_path.empty()) {
+              << FormatDouble(served.build_seconds * 1e3, 2) << " ms";
+    if (!snapshot_path.empty()) {
       std::cout << ", snapshot saved in "
-                << FormatDouble(result->snapshot_save_seconds * 1e3, 2)
-                << " ms";
+                << FormatDouble(served.save_seconds * 1e3, 2) << " ms";
     }
     std::cout << "\n";
   }
   std::vector<std::string> headers = {"query", "answers", "sparse ms",
                                       "complete%"};
-  if (wopts.adaptive.has_value()) {
+  if (engine_options.adaptive.has_value()) {
     headers.insert(headers.end(), {"budget", "escalated", "rounds"});
   }
   if (wopts.compare_dense) {
@@ -559,7 +476,7 @@ int CmdWorkload(const CommandLine& cl) {
         report.name, std::to_string(report.sparse_answers),
         FormatDouble(report.sparse_seconds * 1e3, 2),
         FormatDouble(report.provably_complete_fraction * 100.0, 1)};
-    if (wopts.adaptive.has_value()) {
+    if (engine_options.adaptive.has_value()) {
       row.push_back(std::to_string(report.budget_spent));
       row.push_back(std::to_string(report.cells_escalated));
       row.push_back(std::to_string(report.adaptive_rounds));
@@ -595,7 +512,7 @@ int CmdWorkload(const CommandLine& cl) {
   }
   std::cout << "\nworkload totals: ";
   PrintMatchStats(result->stats);
-  if (wopts.adaptive.has_value()) {
+  if (engine_options.adaptive.has_value()) {
     std::cout << "; mean certified bound "
               << FormatDouble(result->mean_provable_completeness * 100.0, 1)
               << "%, total budget " << result->total_budget_spent
@@ -625,27 +542,7 @@ int CmdWorkload(const CommandLine& cl) {
       limits.push_back(static_cast<size_t>(std::strtoull(
           trimmed.c_str(), nullptr, 10)));
     }
-    // Reuse the workload's prepared index when it was persisted: with
-    // --snapshot the index RunIndexedWorkload just used (or saved) is on
-    // disk, so the sweep must not pay a second from-scratch build.
-    Result<index::PreparedRepository> sweep_prepared =
-        Status::NotFound("no snapshot configured");
-    if (!wopts.snapshot_path.empty()) {
-      sweep_prepared =
-          index::LoadSnapshot(wopts.snapshot_path, *repo,
-                              options.objective.name, wopts.num_threads);
-    }
-    if (!sweep_prepared.ok()) {
-      if (!wopts.snapshot_path.empty() &&
-          sweep_prepared.status().code() != StatusCode::kNotFound) {
-        return Fail(sweep_prepared.status());
-      }
-      sweep_prepared =
-          index::PreparedRepository::Build(*repo, options.objective.name);
-      if (!sweep_prepared.ok()) return Fail(sweep_prepared.status());
-    }
-    index::CandidateGenerator generator(&*sweep_prepared,
-                                        options.objective);
+    index::CandidateGenerator generator(&*served.prepared, options.objective);
     auto probe = [&](size_t limit) -> Result<bounds::BudgetCurvePoint> {
       bounds::BudgetCurvePoint point;
       SteadyClock::time_point t0 = SteadyClock::now();
@@ -671,11 +568,12 @@ int CmdWorkload(const CommandLine& cl) {
            FormatDouble(point.provably_complete_fraction * 100.0, 1),
            FormatDouble(point.seconds * 1e3, 2)});
     }
-    std::cout << "bound-vs-cost sweep (Δ ≤ " << *delta << "):\n";
+    std::cout << "bound-vs-cost sweep (Δ ≤ " << options.delta_threshold
+              << "):\n";
     sweep_table.Print(std::cout);
-    if (wopts.adaptive.has_value()) {
+    if (engine_options.adaptive.has_value()) {
       const size_t smallest = curve->SmallestLimitAchieving(
-          wopts.adaptive->min_provable_completeness);
+          engine_options.adaptive->min_provable_completeness);
       std::cout << "smallest swept C meeting the target bound: "
                 << (smallest > 0 ? std::to_string(smallest)
                                  : std::string("none"))
@@ -733,12 +631,10 @@ Result<std::pair<std::string, uint16_t>> ParseListenAddress(
   return std::make_pair(host, static_cast<uint16_t>(port));
 }
 
-/// The stdin/file request loop (offline mode): one request line in, one
-/// response line out, all through the same MatchService the network server
-/// uses, always at pressure 0 (offline runs never shed).
-int RunOfflineServe(serve::MatchService& service,
-                    const engine::QueryResultCache& cache,
-                    std::istream& in) {
+/// The offline mode: one request line in, one response line out, all
+/// through the same MatchService the network server uses, always at
+/// pressure 0 (offline runs never shed).
+int RunOfflineServe(serve::MatchService& service, std::istream& in) {
   std::string line;
   uint64_t served = 0;
   uint64_t failed = 0;
@@ -753,6 +649,7 @@ int RunOfflineServe(serve::MatchService& service,
     }
     if (request->kind == serve::RequestKind::kQuit) break;
     if (request->kind == serve::RequestKind::kStats) {
+      const engine::QueryResultCache& cache = *service.cache();
       const engine::QueryCacheStats cs = cache.stats();
       const auto index = service.index();
       std::cout << "stats generation=" << index->generation
@@ -769,11 +666,7 @@ int RunOfflineServe(serve::MatchService& service,
       auto swapped = service.Reload(request->snapshot_path,
                                     request->repo_dir);
       if (swapped.ok()) {
-        std::cout << "reloaded generation=" << (*swapped)->generation
-                  << " source=" << (*swapped)->source
-                  << " schemas=" << (*swapped)->repo.schema_count()
-                  << ((*swapped)->used_backup ? " backup=yes" : "")
-                  << std::endl;
+        std::cout << serve::FormatReloadResponse(**swapped) << std::endl;
       } else {
         std::cout << serve::FormatErrorResponse(request->snapshot_path,
                                                 swapped.status())
@@ -848,30 +741,21 @@ int CmdServe(const CommandLine& cl) {
   if (repo_dir.empty()) {
     return Fail(Status::InvalidArgument("--repo required"));
   }
+  const std::string listen_spec = cl.Get("listen");
+  const std::string requests_path = cl.Get("requests");
+  if (listen_spec.empty() == requests_path.empty()) {
+    return Fail(Status::InvalidArgument(
+        listen_spec.empty()
+            ? "serve needs --listen=HOST:PORT (network mode) or "
+              "--requests=FILE (offline replay)"
+            : "--requests (offline replay) and --listen (network mode) are "
+              "mutually exclusive; replay against a live server with "
+              "`matchbounds client`"));
+  }
+  auto spec = serve::ParseServiceSpec(cl);
+  if (!spec.ok()) return Fail(spec.status());
 
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-
-  std::string kind = cl.Get("matcher", "exhaustive");
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-
-  auto candidates = cl.GetUint("candidates", 16);
-  auto threads = cl.GetUint("threads", 1);
-  auto top = cl.GetUint("top", 0);
-  auto cache_size = cl.GetUint("cache-size", 64);
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!candidates.ok()) return Fail(candidates.status());
-  if (!threads.ok()) return Fail(threads.status());
-  if (!top.ok()) return Fail(top.status());
-  if (!cache_size.ok()) return Fail(cache_size.status());
-  if (!adaptive.ok()) return Fail(adaptive.status());
-
-  // Network-mode and shedding flags.
-  std::string listen_spec = cl.Get("listen");
+  // Network-mode flags.
   auto workers = cl.GetUint("workers", 2);
   auto queue_depth = cl.GetUint("queue-depth", 16);
   auto deadline_ms = cl.GetDouble("deadline-ms", 0.0);
@@ -881,90 +765,48 @@ int CmdServe(const CommandLine& cl) {
   if (!queue_depth.ok()) return Fail(queue_depth.status());
   if (!deadline_ms.ok()) return Fail(deadline_ms.status());
   if (!max_line_bytes.ok()) return Fail(max_line_bytes.status());
-  if (cl.Has("min-target-bound") && !adaptive->has_value()) {
-    return Fail(Status::InvalidArgument(
-        "--min-target-bound only applies to the bound-driven mode; add "
-        "--target-bound=B"));
-  }
-  serve::LoadShedPolicy shed;
-  shed.base_target = adaptive->has_value()
-                         ? (*adaptive)->min_provable_completeness
-                         : 1.0;
-  auto min_target = cl.GetDouble("min-target-bound", shed.base_target);
-  if (!min_target.ok()) return Fail(min_target.status());
-  shed.min_target = *min_target;
-  if (Status st = serve::ValidateLoadShedPolicy(shed); !st.ok()) {
-    return Fail(st);
+
+  std::ifstream request_file;
+  if (!requests_path.empty()) {
+    request_file.open(requests_path);
+    if (!request_file) {
+      return Fail(Status::IOError("cannot open request file " +
+                                  requests_path));
+    }
   }
 
   // Open generation 1: load the snapshot when one exists (with the `.bak`
   // fallback), otherwise build and (with --snapshot) persist for the next
   // start. A snapshot that exists but does not load cleanly from either
   // file is fatal — serving from a wrong index is the one failure mode
-  // this command must never have. The same options are reused verbatim by
-  // every `reload`.
+  // this command must never have. Every `reload` reuses the spec's index
+  // options verbatim.
   std::string snapshot_path = cl.Get("snapshot");
-  serve::ServingIndexOptions index_options;
-  index_options.matcher_kind = kind;
-  index_options.factory_options = *factory_options;
-  index_options.name_options = options.objective.name;
-  index_options.num_threads = static_cast<size_t>(*threads);
-  index_options.build_if_missing = true;
-  index_options.save_after_build = true;
   auto index = serve::OpenServingIndex(repo_dir, snapshot_path,
-                                       index_options, /*generation=*/1);
+                                       spec->index_options(),
+                                       /*generation=*/1);
   if (!index.ok()) return Fail(index.status());
   if (!(*index)->warning.empty()) {
     std::cout << "warning " << (*index)->warning << std::endl;
   }
-
   // One service for either mode: the offline loop and every network
   // worker execute requests through the same shared generation.
-  // The effective (possibly shed) target is folded into the cache key by
-  // the service — a 0.9-certified answer set is never replayed for a
-  // request that asked for 0.99 — and so is the generation's repository
-  // fingerprint, so a reload can never replay stale answers.
-  engine::QueryResultCache cache(static_cast<size_t>(*cache_size));
-  serve::MatchServiceConfig service_config;
-  service_config.match_options = options;
-  service_config.engine_options.num_threads = static_cast<size_t>(*threads);
-  service_config.engine_options.global_top_k = static_cast<size_t>(*top);
-  service_config.engine_options.candidate_limit =
-      adaptive->has_value() ? 0 : static_cast<size_t>(*candidates);
-  service_config.engine_options.adaptive = *adaptive;
-  service_config.cache = &cache;
-  service_config.shed = shed;
-  service_config.index_options = index_options;
-  service_config.default_repo_dir = repo_dir;
-  serve::MatchService service(*index, service_config);
-
-  std::ifstream request_file;
-  std::istream* in = &std::cin;
-  std::string requests_path = cl.Get("requests");
-  if (!requests_path.empty()) {
-    if (!listen_spec.empty()) {
-      return Fail(Status::InvalidArgument(
-          "--requests (offline replay) and --listen (network mode) are "
-          "mutually exclusive; replay against a live server with "
-          "`matchbounds client`"));
-    }
-    request_file.open(requests_path);
-    if (!request_file) {
-      return Fail(Status::IOError("cannot open request file " +
-                                  requests_path));
-    }
-    in = &request_file;
-  }
+  serve::BuiltMatchService built =
+      serve::BuildMatchService(*spec, *index, repo_dir);
 
   const bool loaded = (*index)->source == "snapshot";
-  std::cout << "ready " << kind << " repo=" << (*index)->repo.schema_count()
-            << " schemas/" << (*index)->repo.total_elements() << " elements"
+  std::cout << "ready " << spec->matcher_kind
+            << " repo=" << (*index)->repo.schema_count() << " schemas/"
+            << (*index)->repo.total_elements() << " elements"
             << " simd=" << sim::SimdTierName(sim::ActiveSimdTier())
-            << (adaptive->has_value()
-                    ? " target_bound=" + FormatDouble(
-                          (*adaptive)->min_provable_completeness, 2)
-                    : " C=" + std::to_string(*candidates))
-            << " cache=" << *cache_size << " index="
+            << (spec->bound_driven()
+                    ? " target_bound=" +
+                          FormatDouble(spec->engine_options.adaptive
+                                           ->min_provable_completeness,
+                                       2)
+                    : " C=" + std::to_string(
+                                  spec->engine_options.candidate_limit))
+            << " cache=" << spec->cache_capacity << " index="
             << (loaded ? "snapshot load_ms=" +
                              FormatDouble((*index)->load_seconds * 1e3, 2)
                        : "built build_ms=" +
@@ -978,12 +820,12 @@ int CmdServe(const CommandLine& cl) {
             << std::endl;
 
   if (!listen_spec.empty()) {
-    return RunNetworkServe(service, listen_spec,
+    return RunNetworkServe(*built.service, listen_spec,
                            static_cast<size_t>(*workers),
                            static_cast<size_t>(*queue_depth), *deadline_ms,
                            static_cast<size_t>(*max_line_bytes));
   }
-  return RunOfflineServe(service, cache, *in);
+  return RunOfflineServe(*built.service, request_file);
 }
 
 int CmdClient(const CommandLine& cl) {
@@ -1122,7 +964,7 @@ int CmdStats(const CommandLine& cl) {
   if (repo_dir.empty()) {
     return Fail(Status::InvalidArgument("--repo required"));
   }
-  auto repo = LoadRepository(repo_dir);
+  auto repo = schema::LoadRepositoryDir(repo_dir);
   if (!repo.ok()) return Fail(repo.status());
   schema::PrintStats(schema::ComputeStats(*repo), std::cout);
   return 0;
@@ -1273,40 +1115,6 @@ int CmdTrace(const CommandLine& cl) {
   return 0;
 }
 
-/// The `--flag` -> batch-runner key translation of `loadtest` synth mode:
-/// flags present on the command line become experiment parameters; absent
-/// ones use the runner's defaults (harness/batch_runner.h).
-eval::ExperimentSpec BuildLoadtestSpec(const CommandLine& cl) {
-  eval::ExperimentSpec spec;
-  spec.name = cl.Get("label", "loadtest");
-  static constexpr struct {
-    const char* flag;
-    const char* key;
-  } kFlagKeys[] = {
-      {"schemas", "repo_schemas"},     {"vocab", "vocab_size"},
-      {"zipf-name", "zipf_name"},      {"min-elements", "min_elements"},
-      {"max-elements", "max_elements"},
-      {"typed-fraction", "typed_leaf_fraction"},
-      {"queries", "queries"},          {"query-elements", "query_elements"},
-      {"requests", "requests"},        {"zipf-query", "zipf_query"},
-      {"rate-qps", "rate_qps"},        {"deadline-ms", "deadline_ms"},
-      {"target-mix", "target_mix"},    {"speed", "speed"},
-      {"replay-threads", "threads"},   {"candidates", "candidates"},
-      {"target-bound", "target_bound"},
-      {"min-target-bound", "min_target"},
-      {"matcher", "matcher"},          {"top", "top_k"},
-      {"cache-size", "cache_capacity"},
-      {"threads", "engine_threads"},   {"delta", "delta"},
-      {"seed", "seed"},
-  };
-  for (const auto& entry : kFlagKeys) {
-    if (cl.Has(entry.flag)) spec.params[entry.key] = cl.Get(entry.flag);
-  }
-  if (cl.Has("target-bound")) spec.params["policy"] = "target";
-  if (cl.Has("open-loop")) spec.params["open_loop"] = "1";
-  return spec;
-}
-
 /// Shared tail of the trace-replay modes: replay, print, optional CSV/JSON.
 int FinishReplay(const CommandLine& cl, const eval::WorkloadTrace& trace,
                  eval::TraceExecutor* executor, const std::string& policy) {
@@ -1360,7 +1168,7 @@ int CmdLoadtest(const CommandLine& cl) {
       if (!loaded.ok()) return Fail(loaded.status());
       batch = *std::move(loaded);
     } else {
-      batch.experiments.push_back(BuildLoadtestSpec(cl));
+      batch.experiments.push_back(harness::ExperimentFromCommandLine(cl));
     }
     harness::BatchRunOptions run_options;
     run_options.work_dir = work_dir;
@@ -1420,58 +1228,19 @@ int CmdLoadtest(const CommandLine& cl) {
         "--trace replay needs --repo=DIR (in-process) or "
         "--connect=HOST:PORT (live)"));
   }
-  // Assemble the in-process service exactly like `matchbounds serve`.
-  match::MatchOptions options;
-  auto delta = cl.GetDouble("delta", 0.25);
-  if (!delta.ok()) return Fail(delta.status());
-  options.delta_threshold = *delta;
-  options.objective.name.synonyms = &BuiltinSynonyms();
-  auto factory_options = ParseMatcherOptions(cl);
-  if (!factory_options.ok()) return Fail(factory_options.status());
-  auto candidates = cl.GetUint("candidates", 16);
-  auto threads = cl.GetUint("threads", 1);
-  auto top = cl.GetUint("top", 0);
-  auto cache_size = cl.GetUint("cache-size", 64);
-  auto adaptive = ParseAdaptivePolicy(cl);
-  if (!candidates.ok()) return Fail(candidates.status());
-  if (!threads.ok()) return Fail(threads.status());
-  if (!top.ok()) return Fail(top.status());
-  if (!cache_size.ok()) return Fail(cache_size.status());
-  if (!adaptive.ok()) return Fail(adaptive.status());
-  serve::LoadShedPolicy shed;
-  shed.base_target = adaptive->has_value()
-                         ? (*adaptive)->min_provable_completeness
-                         : 1.0;
-  auto min_target = cl.GetDouble("min-target-bound", shed.base_target);
-  if (!min_target.ok()) return Fail(min_target.status());
-  shed.min_target = *min_target;
-  if (Status st = serve::ValidateLoadShedPolicy(shed); !st.ok()) {
-    return Fail(st);
-  }
-  serve::ServingIndexOptions index_options;
-  index_options.matcher_kind = cl.Get("matcher", "exhaustive");
-  index_options.factory_options = *factory_options;
-  index_options.name_options = options.objective.name;
-  index_options.num_threads = static_cast<size_t>(*threads);
+  // The in-process service is built exactly like `matchbounds serve`'s.
+  auto spec = serve::ParseServiceSpec(cl);
+  if (!spec.ok()) return Fail(spec.status());
   auto index = serve::OpenServingIndex(repo_dir, cl.Get("snapshot"),
-                                       index_options, /*generation=*/1);
+                                       spec->index_options(),
+                                       /*generation=*/1);
   if (!index.ok()) return Fail(index.status());
-  engine::QueryResultCache cache(static_cast<size_t>(*cache_size));
-  serve::MatchServiceConfig service_config;
-  service_config.match_options = options;
-  service_config.engine_options.num_threads = static_cast<size_t>(*threads);
-  service_config.engine_options.global_top_k = static_cast<size_t>(*top);
-  service_config.engine_options.candidate_limit =
-      adaptive->has_value() ? 0 : static_cast<size_t>(*candidates);
-  service_config.engine_options.adaptive = *adaptive;
-  service_config.cache = &cache;
-  service_config.shed = shed;
-  service_config.index_options = index_options;
-  service_config.default_repo_dir = repo_dir;
-  serve::MatchService service(*index, service_config);
-  harness::InProcessTraceExecutor executor(&service, std::move(bindings));
+  serve::BuiltMatchService built =
+      serve::BuildMatchService(*spec, *std::move(index), repo_dir);
+  harness::InProcessTraceExecutor executor(built.service.get(),
+                                           std::move(bindings));
   return FinishReplay(cl, *trace, &executor,
-                      adaptive->has_value() ? "target" : "fixed");
+                      spec->bound_driven() ? "target" : "fixed");
 }
 
 }  // namespace
