@@ -511,6 +511,37 @@ void BM_AdaptivePerQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptivePerQuery)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+// Bound-driven generation alone on N worker threads (the argument), at
+// target 0.9 and the default Δ = 0.25, where most cells escalate over
+// several rounds. Output is the same for every N (tests/index/
+// parallel_generation_test.cc); counters "scored" (committed budget, equal
+// across N) and "speculative" (scored past the stop point and discarded)
+// show what the threads cost in extra work.
+void BM_AdaptiveGenerate(benchmark::State& state) {
+  const Setup& setup = GetSetup(kIndexSchemas);
+  auto prepared = index::PreparedRepository::Build(
+                      setup.collection.repository,
+                      setup.mopts.objective.name)
+                      .value();
+  index::CandidateGenerator generator(&prepared, setup.mopts.objective);
+  generator.set_num_threads(static_cast<size_t>(state.range(0)));
+  index::AdaptiveCandidatePolicy policy;
+  policy.min_provable_completeness = 0.9;
+  index::AdaptiveGenerationStats stats;
+  for (auto _ : state) {
+    auto candidates =
+        generator.GenerateAdaptive(setup.collection.query, policy,
+                                   setup.mopts.delta_threshold, &stats);
+    benchmark::DoNotOptimize(candidates);
+  }
+  state.counters["scored"] = static_cast<double>(stats.budget_spent);
+  state.counters["speculative"] =
+      static_cast<double>(stats.speculative_scored);
+  state.counters["bound"] = stats.achieved_completeness;
+}
+BENCHMARK(BM_AdaptiveGenerate)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_ClusteringBuild(benchmark::State& state) {
   const Setup& setup = GetSetup(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {

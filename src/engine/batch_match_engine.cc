@@ -1,15 +1,14 @@
 #include "engine/batch_match_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 #include <vector>
 
 /// \file batch_match_engine.cc
 /// \brief Sharded batch matching: dense/sparse provider setup, worker
 /// pool, deterministic merge, adaptive budget escalation.
 
+#include "common/parallel.h"
 #include "common/timing.h"
 
 namespace smb::engine {
@@ -83,10 +82,7 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
         "repository than the one passed to Run");
   }
 
-  size_t threads = options_.num_threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  size_t threads = ResolveThreadCount(options_.num_threads);
 
   // Matchers holding cross-schema state (e.g. a clustering indexed by
   // global schema position) cannot run against shards: one single-threaded
@@ -151,6 +147,9 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     }
     index::CandidateGenerator generator(prepared, match_options.objective);
     generator.set_block_max_enabled(options_.block_max_postings);
+    // Like the dense pool, generation splits cells, not shards, so it gets
+    // the full thread count even when shards are few.
+    generator.set_num_threads(threads);
     Result<index::QueryCandidates> generated =
         adaptive ? generator.GenerateAdaptive(query, *options_.adaptive,
                                               match_options.delta_threshold,
@@ -212,45 +211,28 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   std::vector<Result<match::AnswerSet>> shard_answers(
       shards.size(), Status::Internal("shard never ran"));
   std::vector<match::MatchStats> shard_stats(shards.size());
-  std::atomic<size_t> next_shard{0};
   Clock::time_point match_start = Clock::now();
-  auto worker = [&]() {
-    for (size_t i = next_shard.fetch_add(1); i < shards.size();
-         i = next_shard.fetch_add(1)) {
-      const Shard& shard = shards[i];
-      schema::SchemaRepository shard_repo;
-      Status build_status = Status::OK();
-      for (size_t s = 0; s < shard.schema_count; ++s) {
-        auto added = shard_repo.Add(repo.schema(
-            shard.first_schema + static_cast<int32_t>(s)));
-        if (!added.ok()) {
-          build_status = added.status().WithContext(
-              "while building repository shard " + std::to_string(i));
-          break;
-        }
+  ParallelFor(threads, shards.size(), [&](size_t /*worker*/, size_t i) {
+    const Shard& shard = shards[i];
+    schema::SchemaRepository shard_repo;
+    for (size_t s = 0; s < shard.schema_count; ++s) {
+      auto added = shard_repo.Add(
+          repo.schema(shard.first_schema + static_cast<int32_t>(s)));
+      if (!added.ok()) {
+        shard_answers[i] = added.status().WithContext(
+            "while building repository shard " + std::to_string(i));
+        return;
       }
-      if (!build_status.ok()) {
-        shard_answers[i] = build_status;
-        continue;
-      }
-      ShardCostView cost_view(pool ? &*pool : nullptr, shard.first_schema);
-      ShardCandidateView candidate_view(candidates ? &*candidates : nullptr,
-                                        shard.first_schema);
-      match::MatchOptions shard_options = match_options;
-      if (pool) shard_options.shared_costs = &cost_view;
-      if (candidates) shard_options.candidates = &candidate_view;
-      shard_answers[i] =
-          matcher.Match(query, shard_repo, shard_options, &shard_stats[i]);
     }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) workers.emplace_back(worker);
-    for (std::thread& w : workers) w.join();
-  }
+    ShardCostView cost_view(pool ? &*pool : nullptr, shard.first_schema);
+    ShardCandidateView candidate_view(candidates ? &*candidates : nullptr,
+                                      shard.first_schema);
+    match::MatchOptions shard_options = match_options;
+    if (pool) shard_options.shared_costs = &cost_view;
+    if (candidates) shard_options.candidates = &candidate_view;
+    shard_answers[i] =
+        matcher.Match(query, shard_repo, shard_options, &shard_stats[i]);
+  });
   local.match_seconds = SecondsSince(match_start);
 
   // Merge: first error (by shard order) wins; otherwise translate each

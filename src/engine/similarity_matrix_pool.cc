@@ -1,9 +1,8 @@
 #include "engine/similarity_matrix_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 
+#include "common/parallel.h"
 #include "sim/prepared_kernel.h"
 
 /// \file similarity_matrix_pool.cc
@@ -27,11 +26,8 @@ Result<SimilarityMatrixPool> SimilarityMatrixPool::Build(
   pool.matrices_.resize(repo.schema_count());
   pool.schema_sizes_.resize(repo.schema_count());
 
-  if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  num_threads = std::max<size_t>(
-      1, std::min(num_threads, std::max<size_t>(1, repo.schema_count())));
+  num_threads = ParallelWorkers(ResolveThreadCount(num_threads),
+                                repo.schema_count());
 
   // Workers claim whole schemas off a shared counter; each matrix is
   // written by exactly one thread, so no locking is needed. Every worker
@@ -42,58 +38,52 @@ Result<SimilarityMatrixPool> SimilarityMatrixPool::Build(
   // bitmask table) loads once per row and the row runs through the
   // SoA/SIMD pipeline. Values are bit-identical to
   // `match::ComputeNodeCost` — the kernel is the same scorer.
-  std::atomic<size_t> next_schema{0};
-  auto fill = [&]() {
+  struct FillScratch {
     sim::TokenTable interner;
     std::vector<sim::PreparedName> prepared_query;
-    prepared_query.reserve(preorder.size());
-    for (schema::NodeId id : preorder) {
-      prepared_query.push_back(
-          sim::PrepareName(query.node(id).name, options.name, &interner));
-    }
     std::vector<sim::PreparedName> prepared_target;
     std::vector<const sim::PreparedName*> target_ptrs;
     std::vector<sim::CutoffScore> row;
-    for (size_t si = next_schema.fetch_add(1); si < repo.schema_count();
-         si = next_schema.fetch_add(1)) {
-      const schema::Schema& s = repo.schema(static_cast<int32_t>(si));
-      std::vector<double>& matrix = pool.matrices_[si];
-      pool.schema_sizes_[si] = s.size();
-      matrix.resize(preorder.size() * s.size());
-      prepared_target.clear();
-      prepared_target.reserve(s.size());
-      for (size_t node = 0; node < s.size(); ++node) {
-        prepared_target.push_back(
-            sim::PrepareName(s.node(static_cast<schema::NodeId>(node)).name,
-                             options.name, &interner));
-      }
-      target_ptrs.clear();
-      target_ptrs.reserve(s.size());
-      for (const sim::PreparedName& t : prepared_target) {
-        target_ptrs.push_back(&t);
-      }
-      row.resize(s.size());
-      for (size_t pos = 0; pos < preorder.size(); ++pos) {
-        const schema::SchemaNode& q = query.node(preorder[pos]);
-        sim::BlockScorer scorer(prepared_query[pos], options.name);
-        scorer.ScoreMany(target_ptrs, /*min_score=*/0.0, row.data());
-        for (size_t node = 0; node < s.size(); ++node) {
-          matrix[pos * s.size() + node] = match::ApplyTypePenalty(
-              1.0 - row[node].score, q,
-              s.node(static_cast<schema::NodeId>(node)), options);
-        }
+  };
+  std::vector<FillScratch> scratch(num_threads);
+  ParallelFor(num_threads, repo.schema_count(), [&](size_t worker,
+                                                    size_t si) {
+    FillScratch& w = scratch[worker];
+    if (w.prepared_query.empty()) {
+      w.prepared_query.reserve(preorder.size());
+      for (schema::NodeId id : preorder) {
+        w.prepared_query.push_back(
+            sim::PrepareName(query.node(id).name, options.name, &w.interner));
       }
     }
-  };
-
-  if (num_threads == 1) {
-    fill();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i) workers.emplace_back(fill);
-    for (std::thread& w : workers) w.join();
-  }
+    const schema::Schema& s = repo.schema(static_cast<int32_t>(si));
+    std::vector<double>& matrix = pool.matrices_[si];
+    pool.schema_sizes_[si] = s.size();
+    matrix.resize(preorder.size() * s.size());
+    w.prepared_target.clear();
+    w.prepared_target.reserve(s.size());
+    for (size_t node = 0; node < s.size(); ++node) {
+      w.prepared_target.push_back(
+          sim::PrepareName(s.node(static_cast<schema::NodeId>(node)).name,
+                           options.name, &w.interner));
+    }
+    w.target_ptrs.clear();
+    w.target_ptrs.reserve(s.size());
+    for (const sim::PreparedName& t : w.prepared_target) {
+      w.target_ptrs.push_back(&t);
+    }
+    w.row.resize(s.size());
+    for (size_t pos = 0; pos < preorder.size(); ++pos) {
+      const schema::SchemaNode& q = query.node(preorder[pos]);
+      sim::BlockScorer scorer(w.prepared_query[pos], options.name);
+      scorer.ScoreMany(w.target_ptrs, /*min_score=*/0.0, w.row.data());
+      for (size_t node = 0; node < s.size(); ++node) {
+        matrix[pos * s.size() + node] = match::ApplyTypePenalty(
+            1.0 - w.row[node].score, q,
+            s.node(static_cast<schema::NodeId>(node)), options);
+      }
+    }
+  });
 
   pool.stats_.schema_count = repo.schema_count();
   pool.stats_.threads_used = num_threads;

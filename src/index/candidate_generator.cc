@@ -1,11 +1,14 @@
 #include "index/candidate_generator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <limits>
 #include <map>
 #include <utility>
 
+#include "common/mutex.h"
+#include "common/parallel.h"
 #include "sim/prepared_kernel.h"
 #include "sim/synonyms.h"
 
@@ -19,7 +22,9 @@
 /// admissible skip-bound). `Generate` runs retrieval + one scoring pass per
 /// cell; `GenerateAdaptive` keeps the retrieval state alive and re-scores
 /// only the cells whose bound has not yet certified the caller's
-/// completeness target, at geometrically growing limits.
+/// completeness target, at geometrically growing limits. With more than one
+/// thread both run through `ParallelCellScorer`, which commits scored
+/// blocks in cell order so the output matches the serial loop exactly.
 
 namespace smb::index {
 
@@ -45,7 +50,8 @@ struct Retrieved {
 };
 
 /// One distinct query trigram for the block-max traversal: its posting
-/// list in the index plus the query-side multiplicity.
+/// list in the index plus the query-side multiplicity. Scoring writes the
+/// resume hint, so every worker thread scores through its own copy.
 struct WandTerm {
   int32_t list = -1;
   uint32_t qmult = 0;
@@ -69,7 +75,8 @@ struct PositionRetrieval {
   /// `hits` index range of schema `si` is
   /// [hit_offsets[si], hit_offsets[si + 1]).
   std::vector<uint32_t> hit_offsets;
-  /// Distinct query grams present in the index (block-max mode only).
+  /// Distinct query grams present in the index (block-max mode only); the
+  /// serial loops score through these, so their hints carry across cells.
   std::vector<WandTerm> wand_terms;
   const std::vector<uint32_t>* type_bucket = nullptr;
 };
@@ -102,8 +109,8 @@ bool CellComplete(double skip_bound, double weight_name, double normalizer,
 }
 
 /// The shared generation machinery: retrieval scratch plus the max-heap /
-/// cutoff cell scorer. One instance per Generate/GenerateAdaptive call;
-/// not thread-safe (the scratch is reused across cells).
+/// cutoff cell scorer. One instance per Generate/GenerateAdaptive call and
+/// worker thread; not thread-safe (the scratch is reused across cells).
 class GenerationEngine {
  public:
   GenerationEngine(const PreparedRepository* prepared,
@@ -115,9 +122,6 @@ class GenerationEngine {
         trigram_weight_share_(trigram_weight_share),
         cutoff_enabled_(cutoff_enabled),
         block_max_(block_max_enabled) {
-    const size_t element_count = prepared_->element_count();
-    shared_.assign(element_count, 0);
-    strong_.assign(element_count, 0);
     size_t max_schema_size = 0;
     for (const schema::Schema& s : prepared_->repo().schemas()) {
       max_schema_size = std::max(max_schema_size, s.size());
@@ -130,6 +134,10 @@ class GenerationEngine {
   /// tokens, token synonym groups, equal folded names, whole-name synonym
   /// groups), grouped by schema.
   void Retrieve(const schema::SchemaNode& qnode, PositionRetrieval* out) {
+    if (shared_.size() != prepared_->element_count()) {
+      shared_.assign(prepared_->element_count(), 0);
+      strong_.assign(prepared_->element_count(), 0);
+    }
     out->prepared = sim::PrepareName(qnode.name, objective_->name,
                                      prepared_->token_table());
     out->hits.clear();
@@ -240,9 +248,12 @@ class GenerationEngine {
   /// \brief Scores one (position, schema) cell at `limit` and writes its
   /// entries and skip-bound. Idempotent and limit-monotone (a larger limit
   /// keeps a superset of candidates with a no-smaller bound); re-invoked by
-  /// the adaptive path on escalation. Returns the number of candidates
-  /// scored — the budget this call spent.
-  size_t ScoreCell(PositionRetrieval& retrieval,
+  /// the adaptive path on escalation. `wand_terms` is `retrieval.wand_terms`
+  /// or a copy of them: only their resume hints are written, and the hints
+  /// never change the result. Returns the number of candidates scored —
+  /// the budget this call spent.
+  size_t ScoreCell(const PositionRetrieval& retrieval,
+                   std::vector<WandTerm>& wand_terms,
                    sim::BlockScorer& scorer, const schema::SchemaNode& qnode,
                    int32_t schema_index, size_t limit,
                    std::vector<match::CandidateEntry>* cell_entries,
@@ -291,7 +302,8 @@ class GenerationEngine {
     if (block_max_) {
       const size_t wand_target =
           strong_count >= limit ? 0 : limit - strong_count;
-      wand_dice_cap = SelectWandCandidates(retrieval, first, end, wand_target);
+      wand_dice_cap = SelectWandCandidates(retrieval, wand_terms, first, end,
+                                           wand_target);
     }
 
     // Pad to C with unretrieved elements: same declared type first, then
@@ -461,8 +473,9 @@ class GenerationEngine {
   /// the exact Dice quotients — so the selected set is identical to the
   /// classic retrieve-everything top-k (tests compare the two paths
   /// bit-for-bit).
-  double SelectWandCandidates(PositionRetrieval& retrieval, uint32_t first,
-                              uint32_t end, size_t k_target) {
+  double SelectWandCandidates(const PositionRetrieval& retrieval,
+                              std::vector<WandTerm>& wand_terms,
+                              uint32_t first, uint32_t end, size_t k_target) {
     auto below = [](const TrigramPosting& p, uint32_t ordinal) {
       return p.ordinal < ordinal;
     };
@@ -503,7 +516,7 @@ class GenerationEngine {
     if (k_target > 0 && end - first <= kTrigramBlockSize) {
       const uint32_t width = end - first;
       wand_dense_.assign(width, 0u);
-      for (WandTerm& term : retrieval.wand_terms) {
+      for (WandTerm& term : wand_terms) {
         const std::span<const TrigramPosting> list =
             prepared_->TrigramListPostings(term.list);
         const TrigramPosting* const lend = list.data() + list.size();
@@ -542,7 +555,7 @@ class GenerationEngine {
 
     wand_cursors_.clear();
     uint32_t cell_tc_floor = std::numeric_limits<uint32_t>::max();
-    for (WandTerm& term : retrieval.wand_terms) {
+    for (WandTerm& term : wand_terms) {
       const std::span<const TrigramPosting> list =
           prepared_->TrigramListPostings(term.list);
       const TrigramPosting* lo = resolve_lo(term, list);
@@ -744,6 +757,154 @@ class GenerationEngine {
   std::vector<uint32_t> wand_dense_;
 };
 
+/// One cell to score: its index in the output (position-major) and the
+/// limit to score it at.
+struct CellTask {
+  size_t cell_index = 0;
+  size_t limit = 0;
+};
+
+/// A cell scored on a worker, waiting for its in-order commit.
+struct ScoredCell {
+  std::vector<match::CandidateEntry> entries;
+  double skip_bound = 0.0;
+  /// Candidates scored for it (`ScoreCell`'s return value).
+  size_t scored = 0;
+};
+
+/// \brief Multi-threaded retrieval and cell scoring with in-order commit.
+///
+/// Each worker owns a `GenerationEngine` (scratch) and a copy of the
+/// current position's block-max resume hints, and builds its
+/// `sim::BlockScorer` per block on its own thread (the scorer claims that
+/// thread's resident pattern slot).
+class ParallelCellScorer {
+ public:
+  ParallelCellScorer(size_t threads, const PreparedRepository* prepared,
+                     const match::ObjectiveOptions* objective,
+                     double trigram_weight_share, bool cutoff_enabled,
+                     bool block_max_enabled, const schema::Schema& query,
+                     const std::vector<schema::NodeId>& preorder)
+      : threads_(threads),
+        objective_(objective),
+        query_(query),
+        preorder_(preorder),
+        schema_count_(prepared->repo().schema_count()) {
+    workers_.reserve(threads);
+    for (size_t w = 0; w < threads; ++w) {
+      workers_.push_back({GenerationEngine(prepared, objective,
+                                           trigram_weight_share,
+                                           cutoff_enabled, block_max_enabled),
+                          {}});
+    }
+  }
+
+  /// Runs the retrieval pass of every query position, one position per
+  /// work item.
+  void RetrieveAll(std::vector<PositionRetrieval>* retrievals) {
+    retrievals->resize(preorder_.size());
+    ParallelFor(threads_, preorder_.size(), [&](size_t worker, size_t pos) {
+      workers_[worker].engine.Retrieve(query_.node(preorder_[pos]),
+                                       &(*retrievals)[pos]);
+    });
+  }
+
+  /// \brief Scores `tasks` (ascending cell order) on the workers and hands
+  /// each result to `commit(task, ScoredCell&)` in task order, from one
+  /// thread at a time. Before each commit `done()` is asked whether the
+  /// caller's stop point was reached; from the first `true` on, nothing is
+  /// committed and workers stop starting new blocks. So the committed
+  /// prefix is exactly the cells a serial loop checking `done()` before
+  /// each cell would score. Returns the candidates scored for cells that
+  /// were never committed.
+  template <typename Done, typename Commit>
+  uint64_t ScoreInOrder(const std::vector<PositionRetrieval>& retrievals,
+                        const std::vector<CellTask>& tasks, Done done,
+                        Commit commit) {
+    // Order-contiguous blocks that stay within one query position (one
+    // scorer per block). Small enough that the work scored past a stop
+    // point stays small, several per worker for balance.
+    constexpr size_t kMaxBlockCells = 32;
+    const size_t block_cells =
+        std::clamp<size_t>(tasks.size() / (threads_ * 8), 1, kMaxBlockCells);
+    std::vector<std::pair<size_t, size_t>> blocks;
+    for (size_t begin = 0; begin < tasks.size();) {
+      const size_t pos = tasks[begin].cell_index / schema_count_;
+      size_t end = begin + 1;
+      while (end < tasks.size() && end - begin < block_cells &&
+             tasks[end].cell_index / schema_count_ == pos) {
+        ++end;
+      }
+      blocks.emplace_back(begin, end);
+      begin = end;
+    }
+
+    std::vector<ScoredCell> results(tasks.size());
+    std::vector<uint8_t> block_done(blocks.size(), 0);
+    std::atomic<bool> stop{false};
+    Mutex mutex;
+    size_t next_block = 0;  // next block to commit
+    bool stopped = false;
+    uint64_t scored_total = 0;
+    uint64_t committed_total = 0;
+    ParallelFor(threads_, blocks.size(), [&](size_t worker, size_t b) {
+      if (stop.load(std::memory_order_relaxed)) return;
+      const auto [begin, end] = blocks[b];
+      const size_t pos = tasks[begin].cell_index / schema_count_;
+      const PositionRetrieval& retrieval = retrievals[pos];
+      const schema::SchemaNode& qnode = query_.node(preorder_[pos]);
+      Worker& w = workers_[worker];
+      w.hints = retrieval.wand_terms;
+      uint64_t block_scored = 0;
+      {
+        sim::BlockScorer scorer(retrieval.prepared, objective_->name);
+        for (size_t t = begin; t < end; ++t) {
+          const auto si =
+              static_cast<int32_t>(tasks[t].cell_index % schema_count_);
+          results[t].scored = w.engine.ScoreCell(
+              retrieval, w.hints, scorer, qnode, si, tasks[t].limit,
+              &results[t].entries, &results[t].skip_bound);
+          block_scored += results[t].scored;
+        }
+      }
+      MutexLock lock(mutex);
+      block_done[b] = 1;
+      scored_total += block_scored;
+      while (!stopped && next_block < blocks.size() &&
+             block_done[next_block] != 0) {
+        for (size_t t = blocks[next_block].first;
+             t < blocks[next_block].second; ++t) {
+          if (done()) {
+            stopped = true;
+            stop.store(true, std::memory_order_relaxed);
+            break;
+          }
+          commit(tasks[t], results[t]);
+          committed_total += results[t].scored;
+        }
+        ++next_block;
+      }
+    });
+    return scored_total - committed_total;
+  }
+
+ private:
+  /// One worker's state, cache-line aligned so workers never write to a
+  /// line another worker reads.
+  struct alignas(64) Worker {
+    GenerationEngine engine;
+    /// This worker's copy of the current position's resume hints.
+    std::vector<WandTerm> hints;
+  };
+
+  size_t threads_;
+  const match::ObjectiveOptions* objective_;
+  const schema::Schema& query_;
+  const std::vector<schema::NodeId>& preorder_;
+  size_t schema_count_;
+  std::vector<Worker> workers_;
+};
+
 }  // namespace
 
 bool QueryCandidates::CellProvablyComplete(size_t pos, int32_t schema_index,
@@ -842,6 +1003,25 @@ Result<QueryCandidates> CandidateGenerator::Generate(
   InitOutput(query, &out);
   out.limit_ = limit;
 
+  const size_t threads = ResolveThreadCount(num_threads_);
+  if (threads > 1) {
+    ParallelCellScorer workers(threads, prepared_, &objective_,
+                               trigram_weight_share_, cutoff_enabled_,
+                               block_max_enabled_, query, preorder);
+    std::vector<PositionRetrieval> retrievals;
+    workers.RetrieveAll(&retrievals);
+    std::vector<CellTask> tasks(m * schema_count);
+    for (size_t i = 0; i < tasks.size(); ++i) tasks[i] = {i, limit};
+    workers.ScoreInOrder(
+        retrievals, tasks, [] { return false; },
+        [&](const CellTask& task, ScoredCell& cell) {
+          out.cells_[task.cell_index].entries = std::move(cell.entries);
+          out.cells_[task.cell_index].skip_bound = cell.skip_bound;
+        });
+    FinalizeCounts(&out);
+    return out;
+  }
+
   GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
                           cutoff_enabled_, block_max_enabled_);
   PositionRetrieval retrieval;
@@ -854,8 +1034,9 @@ Result<QueryCandidates> CandidateGenerator::Generate(
     sim::BlockScorer scorer(retrieval.prepared, objective_.name);
     for (size_t si = 0; si < schema_count; ++si) {
       QueryCandidates::Cell& cell = out.cells_[pos * schema_count + si];
-      engine.ScoreCell(retrieval, scorer, qnode, static_cast<int32_t>(si),
-                       limit, &cell.entries, &cell.skip_bound);
+      engine.ScoreCell(retrieval, retrieval.wand_terms, scorer, qnode,
+                       static_cast<int32_t>(si), limit, &cell.entries,
+                       &cell.skip_bound);
     }
   }
   FinalizeCounts(&out);
@@ -907,9 +1088,6 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
                                 : schema_size;
   };
 
-  GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
-                          cutoff_enabled_, block_max_enabled_);
-
   // Retrieval state is kept per position so escalation rounds only re-run
   // the (cheap, cutoff-pruned) scoring of the cells that need more budget.
   std::vector<PositionRetrieval> retrievals(m);
@@ -933,61 +1111,111 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
            policy.min_provable_completeness;
   };
 
-  // Round 0: every cell at the initial limit.
-  for (size_t pos = 0; pos < m; ++pos) {
-    const schema::SchemaNode& qnode = query.node(preorder[pos]);
-    engine.Retrieve(qnode, &retrievals[pos]);
-    sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
-    for (size_t si = 0; si < schema_count; ++si) {
-      const size_t cell_index = pos * schema_count + si;
-      limits[cell_index] = policy.initial_limit;
-      QueryCandidates::Cell& cell = out.cells_[cell_index];
-      local.budget_spent += engine.ScoreCell(
-          retrievals[pos], scorer, qnode, static_cast<int32_t>(si),
-          policy.initial_limit, &cell.entries, &cell.skip_bound);
-      note_certified(cell_index);
+  const size_t threads = ResolveThreadCount(num_threads_);
+  if (threads > 1) {
+    // The serial loop below, on the workers: round 0 scores every cell;
+    // an escalation round scores the round's uncertified, growable cells
+    // in (position, schema) order and stops where the serial loop stops
+    // (`ScoreInOrder` commits in that order and checks the target before
+    // each commit). A cell's eligibility cannot change within a round —
+    // only scoring the cell itself changes it — so the task list is fixed
+    // up front.
+    ParallelCellScorer workers(threads, prepared_, &objective_,
+                               trigram_weight_share_, cutoff_enabled_,
+                               block_max_enabled_, query, preorder);
+    workers.RetrieveAll(&retrievals);
+    std::vector<CellTask> tasks(total_cells);
+    for (size_t i = 0; i < total_cells; ++i) {
+      tasks[i] = {i, policy.initial_limit};
     }
-  }
-
-  // Escalation rounds: regenerate every uncertified, still-growable cell
-  // at `growth_factor ×` its limit; stop as soon as the certified fraction
-  // reaches the target (deterministic (position, schema) order) or no cell
-  // can grow further. Terminates: every escalation strictly grows a limit
-  // toward its finite cap.
-  while (!target_met()) {
-    bool any_escalated = false;
-    for (size_t pos = 0; pos < m && !target_met(); ++pos) {
-      bool row_has_work = false;
-      for (size_t si = 0; si < schema_count; ++si) {
-        const size_t cell_index = pos * schema_count + si;
-        if (certified[cell_index] == 0 && limits[cell_index] < cap_for(si)) {
-          row_has_work = true;
-          break;
+    bool escalating = false;
+    auto commit = [&](const CellTask& task, ScoredCell& cell) {
+      out.cells_[task.cell_index].entries = std::move(cell.entries);
+      out.cells_[task.cell_index].skip_bound = cell.skip_bound;
+      local.budget_spent += cell.scored;
+      limits[task.cell_index] = task.limit;
+      if (escalating) escalated[task.cell_index] = 1;
+      note_certified(task.cell_index);
+    };
+    workers.ScoreInOrder(retrievals, tasks, [] { return false; }, commit);
+    escalating = true;
+    while (!target_met()) {
+      tasks.clear();
+      for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
+        const size_t cap = cap_for(cell_index % schema_count);
+        if (certified[cell_index] == 0 && limits[cell_index] < cap) {
+          tasks.push_back(
+              {cell_index,
+               std::min(cap, limits[cell_index] * policy.growth_factor)});
         }
       }
-      if (!row_has_work) continue;
+      if (tasks.empty()) break;  // every uncertified cell is at its cap
+      local.speculative_scored +=
+          workers.ScoreInOrder(retrievals, tasks, target_met, commit);
+      ++local.rounds;
+    }
+  } else {
+    GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
+                            cutoff_enabled_, block_max_enabled_);
+
+    // Round 0: every cell at the initial limit.
+    for (size_t pos = 0; pos < m; ++pos) {
       const schema::SchemaNode& qnode = query.node(preorder[pos]);
+      engine.Retrieve(qnode, &retrievals[pos]);
       sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
-      for (size_t si = 0; si < schema_count && !target_met(); ++si) {
+      for (size_t si = 0; si < schema_count; ++si) {
         const size_t cell_index = pos * schema_count + si;
-        const size_t cap = cap_for(si);
-        if (certified[cell_index] != 0 || limits[cell_index] >= cap) {
-          continue;
-        }
-        const size_t next_limit =
-            std::min(cap, limits[cell_index] * policy.growth_factor);
+        limits[cell_index] = policy.initial_limit;
         QueryCandidates::Cell& cell = out.cells_[cell_index];
         local.budget_spent += engine.ScoreCell(
-            retrievals[pos], scorer, qnode, static_cast<int32_t>(si),
-            next_limit, &cell.entries, &cell.skip_bound);
-        limits[cell_index] = next_limit;
-        escalated[cell_index] = 1;
-        any_escalated = true;
+            retrievals[pos], retrievals[pos].wand_terms, scorer, qnode,
+            static_cast<int32_t>(si), policy.initial_limit, &cell.entries,
+            &cell.skip_bound);
         note_certified(cell_index);
       }
     }
-    if (!any_escalated) break;  // every uncertified cell is at its cap
-    ++local.rounds;
+
+    // Escalation rounds: regenerate every uncertified, still-growable cell
+    // at `growth_factor ×` its limit; stop as soon as the certified
+    // fraction reaches the target (deterministic (position, schema) order)
+    // or no cell can grow further. Terminates: every escalation strictly
+    // grows a limit toward its finite cap.
+    while (!target_met()) {
+      bool any_escalated = false;
+      for (size_t pos = 0; pos < m && !target_met(); ++pos) {
+        bool row_has_work = false;
+        for (size_t si = 0; si < schema_count; ++si) {
+          const size_t cell_index = pos * schema_count + si;
+          if (certified[cell_index] == 0 && limits[cell_index] < cap_for(si)) {
+            row_has_work = true;
+            break;
+          }
+        }
+        if (!row_has_work) continue;
+        const schema::SchemaNode& qnode = query.node(preorder[pos]);
+        sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
+        for (size_t si = 0; si < schema_count && !target_met(); ++si) {
+          const size_t cell_index = pos * schema_count + si;
+          const size_t cap = cap_for(si);
+          if (certified[cell_index] != 0 || limits[cell_index] >= cap) {
+            continue;
+          }
+          const size_t next_limit =
+              std::min(cap, limits[cell_index] * policy.growth_factor);
+          QueryCandidates::Cell& cell = out.cells_[cell_index];
+          local.budget_spent += engine.ScoreCell(
+              retrievals[pos], retrievals[pos].wand_terms, scorer, qnode,
+              static_cast<int32_t>(si), next_limit, &cell.entries,
+              &cell.skip_bound);
+          limits[cell_index] = next_limit;
+          escalated[cell_index] = 1;
+          any_escalated = true;
+          note_certified(cell_index);
+        }
+      }
+      if (!any_escalated) break;  // every uncertified cell is at its cap
+      ++local.rounds;
+    }
   }
 
   std::map<size_t, uint64_t> distribution;

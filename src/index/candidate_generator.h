@@ -44,6 +44,23 @@
 /// assignments whose cost exceeds `delta·normalizer + 1e-12`, and
 /// certification requires the skipped cost to exceed that by ≥ 1e-9 in
 /// normalized Δ units).
+///
+/// **Threads.** Cells are independent, so with `set_num_threads(N > 1)`
+/// retrieval runs per query position and scoring per block of cells on N
+/// workers (`ParallelFor`), each with its own scratch, `BlockScorer` and
+/// copy of the block-max resume hints. The output never depends on N:
+///  * round 0 and fixed-C generation score every cell, so blocks simply
+///    land in their own cells;
+///  * an escalation round must stop at the very cell where the serial loop
+///    stops — the first one, in (position, schema) order, after which the
+///    certified fraction reaches the target. Workers score order-contiguous
+///    blocks speculatively into scratch, and blocks are *committed in
+///    order*: a cell's result reaches the output (and the budget) only
+///    after every earlier cell of the round was committed and the target
+///    was still unmet before it. Once the target is met the rest of the
+///    round is discarded; that wasted work is counted separately
+///    (`AdaptiveGenerationStats::speculative_scored`).
+/// With one thread (the default) generation is the plain serial loop.
 
 namespace smb::index {
 
@@ -163,8 +180,14 @@ struct AdaptiveGenerationStats {
   /// certifying.
   size_t cells_at_cap = 0;
   /// Candidates *scored* across all rounds, including re-scoring on
-  /// escalation — the generation cost this policy actually paid.
+  /// escalation — the generation cost this policy actually paid. Counts
+  /// committed cells only, so it is the same for every thread count.
   uint64_t budget_spent = 0;
+  /// Candidates scored on worker threads for cells past the point where
+  /// the target was met, then discarded (see "Threads" above). Always 0
+  /// with one thread; the only field that may vary with the thread count
+  /// or the scheduling.
+  uint64_t speculative_scored = 0;
   /// `ProvablyCompleteFraction(delta_threshold)` of the final lists — the
   /// certified per-query bound.
   double achieved_completeness = 1.0;
@@ -221,6 +244,12 @@ class CandidateGenerator {
   /// admissible. Disable to use the classic path as the oracle.
   void set_block_max_enabled(bool enabled) { block_max_enabled_ = enabled; }
 
+  /// \brief Worker threads for retrieval and cell scoring (1 by default:
+  /// the calling thread only; 0 = one per hardware thread). Candidate
+  /// lists, skip-bounds and every `AdaptiveGenerationStats` field except
+  /// `speculative_scored` are identical for every value.
+  void set_num_threads(size_t threads) { num_threads_ = threads; }
+
  private:
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
@@ -236,6 +265,7 @@ class CandidateGenerator {
   double trigram_weight_share_ = 0.0;
   bool cutoff_enabled_ = true;
   bool block_max_enabled_ = true;
+  size_t num_threads_ = 1;
 };
 
 }  // namespace smb::index

@@ -6,14 +6,13 @@
 /// closed), chunked element payload decoded on a worker pool.
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "io/binary_io.h"
 #include "match/fingerprint.h"
 
@@ -364,14 +363,7 @@ struct SnapshotCodec {
     }
 
     p.elements_.resize(element_count);
-    if (num_threads == 0) {
-      num_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
-    num_threads = std::max<size_t>(
-        1, std::min<size_t>(num_threads, std::max<uint32_t>(1, chunk_count)));
-
     std::vector<Status> chunk_status(chunk_count, Status::OK());
-    std::atomic<size_t> next_chunk{0};
     auto decode_chunk = [&](size_t c) -> Status {
       const std::string_view chunk_bytes = payload.substr(
           chunk_offset[c], chunk_offset[c + 1] - chunk_offset[c]);
@@ -413,22 +405,10 @@ struct SnapshotCodec {
       }
       return Status::OK();
     };
-    auto chunk_worker = [&]() {
-      for (size_t c = next_chunk.fetch_add(1); c < chunk_count;
-           c = next_chunk.fetch_add(1)) {
-        chunk_status[c] = decode_chunk(c);
-      }
-    };
-    if (num_threads <= 1 || chunk_count <= 1) {
-      chunk_worker();
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(num_threads);
-      for (size_t t = 0; t < num_threads; ++t) {
-        workers.emplace_back(chunk_worker);
-      }
-      for (std::thread& worker : workers) worker.join();
-    }
+    ParallelFor(ResolveThreadCount(num_threads), chunk_count,
+                [&](size_t /*worker*/, size_t c) {
+                  chunk_status[c] = decode_chunk(c);
+                });
     for (const Status& status : chunk_status) {
       SMB_RETURN_IF_ERROR(status);
     }
