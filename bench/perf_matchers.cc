@@ -515,8 +515,10 @@ BENCHMARK(BM_AdaptivePerQuery)->Unit(benchmark::kMillisecond)->UseRealTime();
 // target 0.9 and the default Δ = 0.25, where most cells escalate over
 // several rounds. Output is the same for every N (tests/index/
 // parallel_generation_test.cc); counters "scored" (committed budget, equal
-// across N) and "speculative" (scored past the stop point and discarded)
-// show what the threads cost in extra work.
+// across N), "computed" (node costs actually evaluated: escalation reuses
+// the costs a cell already has, equal across N) and "speculative" (scored
+// past the stop point and discarded) show what the work and the threads
+// cost.
 void BM_AdaptiveGenerate(benchmark::State& state) {
   const Setup& setup = GetSetup(kIndexSchemas);
   auto prepared = index::PreparedRepository::Build(
@@ -535,6 +537,7 @@ void BM_AdaptiveGenerate(benchmark::State& state) {
     benchmark::DoNotOptimize(candidates);
   }
   state.counters["scored"] = static_cast<double>(stats.budget_spent);
+  state.counters["computed"] = static_cast<double>(stats.costs_computed);
   state.counters["speculative"] =
       static_cast<double>(stats.speculative_scored);
   state.counters["bound"] = stats.achieved_completeness;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <span>
 #include <utility>
 
 #include "common/mutex.h"
@@ -22,9 +23,11 @@
 /// admissible skip-bound). `Generate` runs retrieval + one scoring pass per
 /// cell; `GenerateAdaptive` keeps the retrieval state alive and re-scores
 /// only the cells whose bound has not yet certified the caller's
-/// completeness target, at geometrically growing limits. With more than one
-/// thread both run through `ParallelCellScorer`, which commits scored
-/// blocks in cell order so the output matches the serial loop exactly.
+/// completeness target, at geometrically growing limits. A re-scored cell
+/// reuses the exact costs of its current entries instead of evaluating
+/// them again. With more than one thread both run through
+/// `ParallelCellScorer`, which commits scored blocks in cell order so the
+/// output matches the serial loop exactly.
 
 namespace smb::index {
 
@@ -101,6 +104,19 @@ struct WandHit {
   uint32_t ordinal = 0;
 };
 
+/// Marks a node of `GenerationEngine::known_cost_` with no reusable cost
+/// (node costs are in [0, 1]).
+constexpr double kNoKnownCost = -1.0;
+
+/// What one `GenerationEngine::ScoreCell` call spent.
+struct CellWork {
+  /// Candidates considered — the cell's scoring set (the budget).
+  size_t scored = 0;
+  /// Node costs actually evaluated; the rest of the scoring set reused a
+  /// cost from the cell's previous entries or was never reached.
+  size_t computed = 0;
+};
+
 bool CellComplete(double skip_bound, double weight_name, double normalizer,
                   double delta_threshold) {
   return skip_bound == kInf ||
@@ -127,6 +143,7 @@ class GenerationEngine {
       max_schema_size = std::max(max_schema_size, s.size());
     }
     in_list_.assign(max_schema_size, 0);
+    known_cost_.assign(max_schema_size, kNoKnownCost);
   }
 
   /// \brief Runs the retrieval pass for one query node: trigram postings
@@ -250,14 +267,18 @@ class GenerationEngine {
   /// keeps a superset of candidates with a no-smaller bound); re-invoked by
   /// the adaptive path on escalation. `wand_terms` is `retrieval.wand_terms`
   /// or a copy of them: only their resume hints are written, and the hints
-  /// never change the result. Returns the number of candidates scored —
-  /// the budget this call spent.
-  size_t ScoreCell(const PositionRetrieval& retrieval,
-                   std::vector<WandTerm>& wand_terms,
-                   sim::BlockScorer& scorer, const schema::SchemaNode& qnode,
-                   int32_t schema_index, size_t limit,
-                   std::vector<match::CandidateEntry>* cell_entries,
-                   double* cell_skip_bound) {
+  /// never change the result. `previous` is the cell's current entries
+  /// (empty on first scoring; may alias `*cell_entries`): their costs are
+  /// exact, so the loop reuses them wherever it would compute a full
+  /// `ComputeNodeCost`, and the result is bit-identical to scoring from
+  /// scratch. Returns the candidates considered and the costs computed.
+  CellWork ScoreCell(const PositionRetrieval& retrieval,
+                     std::vector<WandTerm>& wand_terms,
+                     sim::BlockScorer& scorer, const schema::SchemaNode& qnode,
+                     int32_t schema_index, size_t limit,
+                     std::span<const match::CandidateEntry> previous,
+                     std::vector<match::CandidateEntry>* cell_entries,
+                     double* cell_skip_bound) {
     const schema::Schema& schema = prepared_->repo().schema(schema_index);
     const size_t schema_size = schema.size();
     const uint32_t first = prepared_->first_ordinal(schema_index);
@@ -339,6 +360,22 @@ class GenerationEngine {
     // bound (> the C-th cost) when pruned — so the bound stays
     // admissible and, without pruning, bit-identical to sorting
     // everything and reading the (C+1)-th cost.
+    // Costs already known from the cell's previous entries are reused
+    // wherever a full ComputeNodeCost would run. The threshold-aware branch
+    // always runs the kernel: a pruned candidate's lower bound feeds the
+    // skip-bound, and an exact cost cannot stand in for it.
+    for (const match::CandidateEntry& entry : previous) {
+      known_cost_[static_cast<size_t>(entry.node)] = entry.cost;
+    }
+    CellWork work;
+    auto full_cost = [&](const schema::SchemaNode& tnode,
+                         const PreparedElement& element) {
+      const double known = known_cost_[static_cast<size_t>(element.node)];
+      if (known != kNoKnownCost) return known;
+      ++work.computed;
+      return match::ComputeNodeCost(scorer, qnode, tnode, element.name,
+                                    *objective_);
+    };
     entries_.clear();
     double truncation_bound = kInf;
     auto heap_before = [](const match::CandidateEntry& a,
@@ -352,8 +389,7 @@ class GenerationEngine {
       if (entries_.size() < limit) {
         match::CandidateEntry entry;
         entry.node = element.node;
-        entry.cost = match::ComputeNodeCost(scorer, qnode, tnode,
-                                            element.name, *objective_);
+        entry.cost = full_cost(tnode, element);
         entries_.push_back(entry);
         std::push_heap(entries_.begin(), entries_.end(), heap_before);
         continue;
@@ -364,6 +400,7 @@ class GenerationEngine {
       // which the similarity-space cutoff cannot see — score those in
       // full.
       if (cutoff_enabled_ && top.cost < 1.0) {
+        ++work.computed;
         match::NodeCostCutoff scored = match::ComputeNodeCostWithCutoff(
             scorer, qnode, tnode, element.name, *objective_, top.cost);
         if (!scored.exact) {  // provably > C-th cost: cannot enter
@@ -372,8 +409,7 @@ class GenerationEngine {
         }
         cost = scored.cost;
       } else {
-        cost = match::ComputeNodeCost(scorer, qnode, tnode, element.name,
-                                      *objective_);
+        cost = full_cost(tnode, element);
       }
       if (cost < top.cost || (cost == top.cost && element.node < top.node)) {
         truncation_bound = std::min(truncation_bound, top.cost);
@@ -384,6 +420,10 @@ class GenerationEngine {
       } else {
         truncation_bound = std::min(truncation_bound, cost);
       }
+    }
+    // Reset before `*cell_entries` is written: `previous` may alias it.
+    for (const match::CandidateEntry& entry : previous) {
+      known_cost_[static_cast<size_t>(entry.node)] = kNoKnownCost;
     }
     std::sort(entries_.begin(), entries_.end(),
               [](const match::CandidateEntry& a,
@@ -424,7 +464,8 @@ class GenerationEngine {
     for (uint32_t ordinal : scored_ordinals_) {
       in_list_[ordinal - first] = 0;
     }
-    return scored_total;
+    work.scored = scored_total;
+    return work;
   }
 
  private:
@@ -748,6 +789,9 @@ class GenerationEngine {
   // Per-cell scoring scratch.
   std::vector<Retrieved> cell_hits_;
   std::vector<uint8_t> in_list_;
+  // Exact costs of the cell's previous entries, by node; kNoKnownCost
+  // elsewhere, reset by walking those entries.
+  std::vector<double> known_cost_;
   std::vector<uint32_t> scored_ordinals_;
   std::vector<match::CandidateEntry> entries_;
   // Block-max WAND scratch.
@@ -757,19 +801,21 @@ class GenerationEngine {
   std::vector<uint32_t> wand_dense_;
 };
 
-/// One cell to score: its index in the output (position-major) and the
-/// limit to score it at.
+/// One cell to score: its index in the output (position-major), the
+/// limit to score it at, and its current entries in the output (empty
+/// unless the cell is being escalated), whose costs `ScoreCell` reuses.
 struct CellTask {
   size_t cell_index = 0;
   size_t limit = 0;
+  std::span<const match::CandidateEntry> previous;
 };
 
 /// A cell scored on a worker, waiting for its in-order commit.
 struct ScoredCell {
   std::vector<match::CandidateEntry> entries;
   double skip_bound = 0.0;
-  /// Candidates scored for it (`ScoreCell`'s return value).
-  size_t scored = 0;
+  /// What scoring it spent (`ScoreCell`'s return value).
+  CellWork work;
 };
 
 /// \brief Multi-threaded retrieval and cell scoring with in-order commit.
@@ -815,8 +861,11 @@ class ParallelCellScorer {
   /// caller's stop point was reached; from the first `true` on, nothing is
   /// committed and workers stop starting new blocks. So the committed
   /// prefix is exactly the cells a serial loop checking `done()` before
-  /// each cell would score. Returns the candidates scored for cells that
-  /// were never committed.
+  /// each cell would score. A task's `previous` entries are read by the
+  /// worker scoring it without a lock: they live in the output cell, which
+  /// only that task's own commit writes, and the commit runs after the
+  /// task's block has finished. Returns the candidates scored for cells
+  /// that were never committed.
   template <typename Done, typename Commit>
   uint64_t ScoreInOrder(const std::vector<PositionRetrieval>& retrievals,
                         const std::vector<CellTask>& tasks, Done done,
@@ -861,10 +910,11 @@ class ParallelCellScorer {
         for (size_t t = begin; t < end; ++t) {
           const auto si =
               static_cast<int32_t>(tasks[t].cell_index % schema_count_);
-          results[t].scored = w.engine.ScoreCell(
+          results[t].work = w.engine.ScoreCell(
               retrieval, w.hints, scorer, qnode, si, tasks[t].limit,
-              &results[t].entries, &results[t].skip_bound);
-          block_scored += results[t].scored;
+              tasks[t].previous, &results[t].entries,
+              &results[t].skip_bound);
+          block_scored += results[t].work.scored;
         }
       }
       MutexLock lock(mutex);
@@ -880,7 +930,7 @@ class ParallelCellScorer {
             break;
           }
           commit(tasks[t], results[t]);
-          committed_total += results[t].scored;
+          committed_total += results[t].work.scored;
         }
         ++next_block;
       }
@@ -1011,7 +1061,7 @@ Result<QueryCandidates> CandidateGenerator::Generate(
     std::vector<PositionRetrieval> retrievals;
     workers.RetrieveAll(&retrievals);
     std::vector<CellTask> tasks(m * schema_count);
-    for (size_t i = 0; i < tasks.size(); ++i) tasks[i] = {i, limit};
+    for (size_t i = 0; i < tasks.size(); ++i) tasks[i] = {i, limit, {}};
     workers.ScoreInOrder(
         retrievals, tasks, [] { return false; },
         [&](const CellTask& task, ScoredCell& cell) {
@@ -1035,7 +1085,7 @@ Result<QueryCandidates> CandidateGenerator::Generate(
     for (size_t si = 0; si < schema_count; ++si) {
       QueryCandidates::Cell& cell = out.cells_[pos * schema_count + si];
       engine.ScoreCell(retrieval, retrieval.wand_terms, scorer, qnode,
-                       static_cast<int32_t>(si), limit, &cell.entries,
+                       static_cast<int32_t>(si), limit, {}, &cell.entries,
                        &cell.skip_bound);
     }
   }
@@ -1111,6 +1161,11 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
            policy.min_provable_completeness;
   };
 
+  auto spend = [&](const CellWork& work) {
+    local.budget_spent += work.scored;
+    local.costs_computed += work.computed;
+  };
+
   const size_t threads = ResolveThreadCount(num_threads_);
   if (threads > 1) {
     // The serial loop below, on the workers: round 0 scores every cell;
@@ -1126,13 +1181,13 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
     workers.RetrieveAll(&retrievals);
     std::vector<CellTask> tasks(total_cells);
     for (size_t i = 0; i < total_cells; ++i) {
-      tasks[i] = {i, policy.initial_limit};
+      tasks[i] = {i, policy.initial_limit, {}};
     }
     bool escalating = false;
     auto commit = [&](const CellTask& task, ScoredCell& cell) {
       out.cells_[task.cell_index].entries = std::move(cell.entries);
       out.cells_[task.cell_index].skip_bound = cell.skip_bound;
-      local.budget_spent += cell.scored;
+      spend(cell.work);
       limits[task.cell_index] = task.limit;
       if (escalating) escalated[task.cell_index] = 1;
       note_certified(task.cell_index);
@@ -1146,7 +1201,8 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
         if (certified[cell_index] == 0 && limits[cell_index] < cap) {
           tasks.push_back(
               {cell_index,
-               std::min(cap, limits[cell_index] * policy.growth_factor)});
+               std::min(cap, limits[cell_index] * policy.growth_factor),
+               out.cells_[cell_index].entries});
         }
       }
       if (tasks.empty()) break;  // every uncertified cell is at its cap
@@ -1167,10 +1223,10 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
         const size_t cell_index = pos * schema_count + si;
         limits[cell_index] = policy.initial_limit;
         QueryCandidates::Cell& cell = out.cells_[cell_index];
-        local.budget_spent += engine.ScoreCell(
-            retrievals[pos], retrievals[pos].wand_terms, scorer, qnode,
-            static_cast<int32_t>(si), policy.initial_limit, &cell.entries,
-            &cell.skip_bound);
+        spend(engine.ScoreCell(retrievals[pos], retrievals[pos].wand_terms,
+                               scorer, qnode, static_cast<int32_t>(si),
+                               policy.initial_limit, {}, &cell.entries,
+                               &cell.skip_bound));
         note_certified(cell_index);
       }
     }
@@ -1203,10 +1259,10 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
           const size_t next_limit =
               std::min(cap, limits[cell_index] * policy.growth_factor);
           QueryCandidates::Cell& cell = out.cells_[cell_index];
-          local.budget_spent += engine.ScoreCell(
-              retrievals[pos], retrievals[pos].wand_terms, scorer, qnode,
-              static_cast<int32_t>(si), next_limit, &cell.entries,
-              &cell.skip_bound);
+          spend(engine.ScoreCell(retrievals[pos], retrievals[pos].wand_terms,
+                                 scorer, qnode, static_cast<int32_t>(si),
+                                 next_limit, cell.entries, &cell.entries,
+                                 &cell.skip_bound));
           limits[cell_index] = next_limit;
           escalated[cell_index] = 1;
           any_escalated = true;

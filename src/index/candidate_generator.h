@@ -45,6 +45,22 @@
 /// certification requires the skipped cost to exceed that by ≥ 1e-9 in
 /// normalized Δ units).
 ///
+/// **Escalation reuses costs.** An escalated cell is scored again at the
+/// larger limit, but the costs of its current entries are exact, so they
+/// are reused wherever a full `ComputeNodeCost` would run (while the
+/// list is filling, and when threshold-aware pruning is off or cannot
+/// apply). Only the pruned branch (`ComputeNodeCostWithCutoff`) always
+/// runs, since a pruned candidate's lower bound feeds the skip-bound.
+/// A reused cost is the value `ComputeNodeCost` would return (and an exact
+/// cutoff cost is bit-identical to it), so lists, skip-bounds and
+/// certificates are byte-identical to scoring every round from scratch
+/// (`tests/index/adaptive_candidate_test.cc` replays the rounds through
+/// `Generate` as the oracle). A larger limit visits the same candidates
+/// first, in the same order, so the old entries fill the new list before
+/// any new candidate is costed. The candidates considered
+/// per round are counted in `AdaptiveGenerationStats::budget_spent`; the
+/// costs actually evaluated in `costs_computed`.
+///
 /// **Threads.** Cells are independent, so with `set_num_threads(N > 1)`
 /// retrieval runs per query position and scoring per block of cells on N
 /// workers (`ParallelFor`), each with its own scratch, `BlockScorer` and
@@ -60,6 +76,10 @@
 ///    was still unmet before it. Once the target is met the rest of the
 ///    round is discarded; that wasted work is counted separately
 ///    (`AdaptiveGenerationStats::speculative_scored`).
+/// A worker escalating a cell reads that cell's current entries in the
+/// output, for cost reuse, without a lock: only the cell's own in-order
+/// commit writes them, and that commit runs after the worker's block has
+/// finished.
 /// With one thread (the default) generation is the plain serial loop.
 
 namespace smb::index {
@@ -179,10 +199,16 @@ struct AdaptiveGenerationStats {
   /// Cells that hit `max_limit` (or full schema coverage) without
   /// certifying.
   size_t cells_at_cap = 0;
-  /// Candidates *scored* across all rounds, including re-scoring on
-  /// escalation — the generation cost this policy actually paid. Counts
-  /// committed cells only, so it is the same for every thread count.
+  /// Candidates *considered* across all rounds: the size of each scored
+  /// cell's scoring set, summed per round, so an escalated cell counts its
+  /// earlier candidates again. Costs reused from earlier rounds are not
+  /// paid again; `costs_computed` is the paid cost. Counts committed cells
+  /// only, so it is the same for every thread count.
   uint64_t budget_spent = 0;
+  /// Node costs actually evaluated for committed cells (full or
+  /// threshold-pruned), after reusing each escalated cell's known entry
+  /// costs. At most `budget_spent`; the same for every thread count.
+  uint64_t costs_computed = 0;
   /// Candidates scored on worker threads for cells past the point where
   /// the target was met, then discarded (see "Threads" above). Always 0
   /// with one thread; the only field that may vary with the thread count
@@ -216,9 +242,9 @@ class CandidateGenerator {
   /// complete at `delta_threshold` reaches
   /// `policy.min_provable_completeness`, or every uncertified cell has hit
   /// its cap. Retrieval runs once per query position and is reused across
-  /// rounds; scoring reuses the same max-heap/cutoff machinery as
-  /// `Generate`, so kept candidate costs stay bit-identical to the dense
-  /// pool's. `stats`, when non-null, receives the spent budget and the
+  /// rounds, and so are the exact costs of an escalated cell's entries;
+  /// scoring reuses the same max-heap/cutoff machinery as `Generate`, so
+  /// kept candidate costs stay bit-identical to the dense pool's. `stats`, when non-null, receives the spent budget and the
   /// achieved bound.
   Result<QueryCandidates> GenerateAdaptive(
       const schema::Schema& query, const AdaptiveCandidatePolicy& policy,

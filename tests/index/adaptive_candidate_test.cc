@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "engine/batch_match_engine.h"
 #include "index/candidate_generator.h"
@@ -20,9 +22,11 @@
 ///  * **target 1.0 ⇒ dense** — demanding every cell be certified (with an
 ///    unbounded cap) reproduces the dense answers byte-identically for
 ///    every matcher and thread count.
-/// Plus: target 0.0 degenerates to `Generate(initial_limit)` bit-exactly,
-/// budget accounting is consistent, and policy validation rejects
-/// malformed inputs.
+/// Plus: escalation rounds, which reuse the costs of a cell's current
+/// entries, give exactly what scoring every round from scratch gives (a
+/// replay of the rounds through `Generate` is the oracle); target 0.0
+/// degenerates to `Generate(initial_limit)` bit-exactly, budget accounting
+/// is consistent, and policy validation rejects malformed inputs.
 
 namespace smb::index {
 namespace {
@@ -186,6 +190,193 @@ TEST(AdaptiveCandidateTest, CertifiedSchemasKeepDenseAnswersExactly) {
       }
     }
   }
+}
+
+/// Strong hits of every (position, schema) cell: repository elements that
+/// share a token or token synonym group with the query node, or whose
+/// folded name or whole-name synonym group equals its.
+std::vector<size_t> StrongHitCounts(const PreparedRepository& prepared,
+                                    const schema::Schema& query,
+                                    const match::ObjectiveOptions& objective) {
+  const size_t schema_count = prepared.repo().schema_count();
+  const std::vector<schema::NodeId> preorder = query.PreOrder();
+  std::vector<size_t> counts(preorder.size() * schema_count, 0);
+  std::vector<uint8_t> strong(prepared.element_count());
+  std::vector<std::pair<uint32_t, int32_t>> tokens;
+  for (size_t pos = 0; pos < preorder.size(); ++pos) {
+    std::fill(strong.begin(), strong.end(), 0);
+    const sim::PreparedName name = sim::PrepareName(
+        query.node(preorder[pos]).name, objective.name,
+        prepared.token_table());
+    auto mark = [&](const std::vector<uint32_t>* postings) {
+      if (postings == nullptr) return;
+      for (uint32_t ordinal : *postings) strong[ordinal] = 1;
+    };
+    AppendUniqueTokenGroupPairs(name, &tokens);
+    for (const auto& [token_id, group] : tokens) {
+      for (uint32_t ordinal : prepared.TokenPostings(token_id)) {
+        strong[ordinal] = 1;
+      }
+      if (group >= 0) mark(prepared.TokenGroupPostings(group));
+    }
+    mark(prepared.NameBucket(name.folded));
+    if (name.name_group >= 0) mark(prepared.NameGroupBucket(name.name_group));
+    for (uint32_t ordinal = 0; ordinal < strong.size(); ++ordinal) {
+      if (strong[ordinal] != 0) {
+        ++counts[pos * schema_count +
+                 static_cast<size_t>(prepared.element(ordinal).schema_index)];
+      }
+    }
+  }
+  return counts;
+}
+
+/// \brief The serial escalation loop of `GenerateAdaptive`, replayed with
+/// every cell taken from a from-scratch `Generate(query, L)` at the limit L
+/// the loop asks for. Uses the same certification, target and cap rules;
+/// a cell scored at L considers all its strong hits and then enough other
+/// elements to reach min(L, |schema|), which gives the budget.
+struct Replay {
+  /// The `Generate` run each cell's final entries come from, by limit.
+  std::map<size_t, QueryCandidates> by_limit;
+  std::vector<size_t> limits;
+  AdaptiveGenerationStats stats;
+};
+
+Replay ReplayFromScratch(const CandidateGenerator& generator,
+                         const PreparedRepository& prepared,
+                         const schema::Schema& query,
+                         const match::ObjectiveOptions& objective,
+                         const AdaptiveCandidatePolicy& policy,
+                         double delta) {
+  const schema::SchemaRepository& repo = prepared.repo();
+  const size_t schema_count = repo.schema_count();
+  const size_t total = query.PreOrder().size() * schema_count;
+  const std::vector<size_t> strong =
+      StrongHitCounts(prepared, query, objective);
+
+  Replay replay;
+  auto cells_at = [&](size_t limit) -> const QueryCandidates& {
+    auto it = replay.by_limit.find(limit);
+    if (it == replay.by_limit.end()) {
+      it = replay.by_limit
+               .emplace(limit, generator.Generate(query, limit).value())
+               .first;
+    }
+    return it->second;
+  };
+  auto schema_size = [&](size_t c) {
+    return repo.schema(static_cast<int32_t>(c % schema_count)).size();
+  };
+  auto cap = [&](size_t c) {
+    return policy.max_limit > 0 ? std::min(policy.max_limit, schema_size(c))
+                                : schema_size(c);
+  };
+  std::vector<uint8_t> certified(total, 0);
+  std::vector<uint8_t> escalated(total, 0);
+  size_t certified_count = 0;
+  auto score = [&](size_t c, size_t limit) {
+    replay.limits[c] = limit;
+    replay.stats.budget_spent +=
+        std::max(strong[c], std::min(limit, schema_size(c)));
+    if (cells_at(limit).CellProvablyComplete(
+            c / schema_count, static_cast<int32_t>(c % schema_count), delta)) {
+      certified[c] = 1;
+      ++certified_count;
+    }
+  };
+  auto target_met = [&] {
+    return static_cast<double>(certified_count) / static_cast<double>(total) +
+               1e-12 >=
+           policy.min_provable_completeness;
+  };
+
+  replay.limits.assign(total, 0);
+  for (size_t c = 0; c < total; ++c) score(c, policy.initial_limit);
+  while (!target_met()) {
+    bool any = false;
+    for (size_t c = 0; c < total && !target_met(); ++c) {
+      if (certified[c] != 0 || replay.limits[c] >= cap(c)) continue;
+      score(c, std::min(cap(c), replay.limits[c] * policy.growth_factor));
+      escalated[c] = 1;
+      any = true;
+    }
+    if (!any) break;
+    ++replay.stats.rounds;
+  }
+  replay.stats.cells_total = total;
+  replay.stats.cells_certified = certified_count;
+  for (uint8_t e : escalated) replay.stats.cells_escalated += e;
+  return replay;
+}
+
+TEST(AdaptiveCandidateTest, EscalationMatchesFromScratchReplay) {
+  // Escalated cells reuse their entries' costs; the lists, bounds,
+  // certificates and budget must be exactly those of scoring each round
+  // from scratch, whatever the target, Δ, traversal or thread count.
+  size_t configs_with_rounds = 0;
+  for (double delta : {0.02, 0.25}) {
+    AdaptiveSetup setup = MakeSetup(30, 111, delta);
+    const match::ObjectiveOptions& objective = setup.options.objective;
+    auto prepared = PreparedRepository::Build(setup.repo, objective.name);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    for (bool block_max : {true, false}) {
+      CandidateGenerator scratch(&*prepared, objective);
+      scratch.set_block_max_enabled(block_max);
+      for (double target : {0.5, 0.9, 1.0}) {
+        AdaptiveCandidatePolicy policy;
+        policy.min_provable_completeness = target;
+        policy.initial_limit = 2;
+        const Replay replay = ReplayFromScratch(
+            scratch, *prepared, setup.query, objective, policy, delta);
+        if (replay.stats.rounds >= 2) ++configs_with_rounds;
+        for (size_t threads : {1u, 3u}) {
+          const std::string label =
+              "delta=" + std::to_string(delta) +
+              " block_max=" + std::to_string(block_max) +
+              " target=" + std::to_string(target) +
+              " threads=" + std::to_string(threads);
+          CandidateGenerator generator(&*prepared, objective);
+          generator.set_block_max_enabled(block_max);
+          generator.set_num_threads(threads);
+          AdaptiveGenerationStats stats;
+          auto adaptive =
+              generator.GenerateAdaptive(setup.query, policy, delta, &stats);
+          ASSERT_TRUE(adaptive.ok()) << adaptive.status();
+
+          EXPECT_EQ(stats.rounds, replay.stats.rounds) << label;
+          EXPECT_EQ(stats.cells_escalated, replay.stats.cells_escalated)
+              << label;
+          EXPECT_EQ(stats.cells_certified, replay.stats.cells_certified)
+              << label;
+          EXPECT_EQ(stats.budget_spent, replay.stats.budget_spent) << label;
+          EXPECT_LE(stats.costs_computed, stats.budget_spent) << label;
+          for (size_t pos = 0; pos < adaptive->positions(); ++pos) {
+            for (size_t si = 0; si < adaptive->schema_count(); ++si) {
+              const auto schema_index = static_cast<int32_t>(si);
+              const QueryCandidates& expected = replay.by_limit.at(
+                  replay.limits[pos * adaptive->schema_count() + si]);
+              const std::string cell = label + " cell (" +
+                                       std::to_string(pos) + ", " +
+                                       std::to_string(si) + ")";
+              EXPECT_EQ(adaptive->SkipLowerBound(pos, schema_index),
+                        expected.SkipLowerBound(pos, schema_index))
+                  << cell;
+              const auto& a = *adaptive->CandidatesFor(pos, schema_index);
+              const auto& e = *expected.CandidatesFor(pos, schema_index);
+              ASSERT_EQ(a.size(), e.size()) << cell;
+              for (size_t i = 0; i < e.size(); ++i) {
+                EXPECT_EQ(a[i].node, e[i].node) << cell << " rank " << i;
+                EXPECT_EQ(a[i].cost, e[i].cost) << cell << " rank " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(configs_with_rounds, 0u)
+      << "no configuration escalated over two rounds";
 }
 
 TEST(AdaptiveCandidateTest, TargetZeroMatchesFixedGenerateBitExactly) {

@@ -8,6 +8,7 @@
 #include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
+#include "synth/stream.h"
 
 /// Candidate generation on worker threads
 /// (`CandidateGenerator::set_num_threads`) must not depend on the thread
@@ -79,6 +80,7 @@ void ExpectSameStats(const AdaptiveGenerationStats& actual,
   EXPECT_EQ(actual.cells_escalated, expected.cells_escalated) << label;
   EXPECT_EQ(actual.cells_at_cap, expected.cells_at_cap) << label;
   EXPECT_EQ(actual.budget_spent, expected.budget_spent) << label;
+  EXPECT_EQ(actual.costs_computed, expected.costs_computed) << label;
   EXPECT_EQ(actual.achieved_completeness, expected.achieved_completeness)
       << label;
   EXPECT_EQ(actual.final_limit_distribution,
@@ -167,6 +169,52 @@ TEST(ParallelGenerationTest, FixedGenerateIsTheSameForEveryThreadCount) {
                             " threads=" + std::to_string(threads));
       }
     }
+  }
+}
+
+TEST(ParallelGenerationTest, EscalationCostsTrackCoverageNotRounds) {
+  // A served-collection-shaped stream: small (6–14-node) schemas, target
+  // 0.9 at Δ = 0.25, where cells escalate over several rounds toward full
+  // coverage. Escalation reuses the costs a cell already has, so the costs
+  // evaluated stay within one per (cell, node) pair, while the candidates
+  // considered count every round again.
+  synth::StreamOptions sopts;
+  sopts.num_schemas = 150;
+  sopts.vocabulary_size = 512;
+  sopts.min_schema_elements = 6;
+  sopts.max_schema_elements = 14;
+  sopts.seed = 7;
+  auto stream = synth::SchemaStream::Create(sopts);
+  ASSERT_TRUE(stream.ok()) << stream.status();
+  auto repo = synth::BuildStreamRepository(*stream);
+  ASSERT_TRUE(repo.ok()) << repo.status();
+  Rng rng(17);
+  auto query = stream->GenerateQuery(5, &rng);
+  ASSERT_TRUE(query.ok()) << query.status();
+
+  match::ObjectiveOptions objective;
+  static const sim::SynonymTable kTable = sim::SynonymTable::Builtin();
+  objective.name.synonyms = &kTable;
+  auto prepared = PreparedRepository::Build(*repo, objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+
+  uint64_t cell_nodes = 0;
+  for (size_t si = 0; si < repo->schema_count(); ++si) {
+    cell_nodes += repo->schema(static_cast<int32_t>(si)).size();
+  }
+  cell_nodes *= query->PreOrder().size();
+
+  AdaptiveCandidatePolicy policy;
+  policy.min_provable_completeness = 0.9;
+  for (size_t threads : {1u, 3u}) {
+    CandidateGenerator generator(&*prepared, objective);
+    generator.set_num_threads(threads);
+    AdaptiveGenerationStats stats;
+    ASSERT_TRUE(generator.GenerateAdaptive(*query, policy, 0.25, &stats).ok());
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_GE(stats.rounds, 2u) << label;
+    EXPECT_LE(stats.costs_computed, cell_nodes) << label;
+    EXPECT_LT(cell_nodes, stats.budget_spent) << label;
   }
 }
 
