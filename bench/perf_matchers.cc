@@ -58,13 +58,17 @@ void BM_ExhaustiveMatcher(benchmark::State& state) {
   const Setup& setup = GetSetup(static_cast<size_t>(state.range(0)));
   match::ExhaustiveMatcher matcher;
   size_t answers = 0;
+  match::MatchStats stats;
   for (auto _ : state) {
+    stats = match::MatchStats();
     auto result = matcher.Match(setup.collection.query,
-                                setup.collection.repository, setup.mopts);
+                                setup.collection.repository, setup.mopts,
+                                &stats);
     answers = result->size();
     benchmark::DoNotOptimize(result);
   }
   state.counters["answers"] = static_cast<double>(answers);
+  state.counters["states"] = static_cast<double>(stats.states_explored);
   state.counters["elements"] =
       static_cast<double>(setup.collection.repository.total_elements());
 }
@@ -272,8 +276,9 @@ BENCHMARK(BM_SnapshotLoad)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
 // Prices one sparse engine configuration against the dense run at the
-// same options: reports the answers produced, the candidate entries the
-// index generated ("candidates" — the budget), the certified completeness
+// same options: reports the answers produced, the matcher's search states
+// ("states"), the candidate entries the index generated ("candidates" —
+// the budget), the certified completeness
 // ("bound") and the measured recall/top-1 retention of the dense answers.
 // Shared by the fixed-C and adaptive benchmarks.
 void ReportSparseCounters(benchmark::State& state, const Setup& setup,
@@ -297,6 +302,7 @@ void ReportSparseCounters(benchmark::State& state, const Setup& setup,
     if (in_sparse(mapping.key())) ++retained;
   }
   state.counters["answers"] = static_cast<double>(sparse->size());
+  state.counters["states"] = static_cast<double>(stats.match.states_explored);
   state.counters["candidates"] =
       static_cast<double>(stats.match.candidates_generated);
   state.counters["bound"] = stats.provably_complete_fraction;
@@ -315,13 +321,15 @@ void BM_DensePerQuery(benchmark::State& state) {
       match::MakeMatcher("exhaustive", setup.collection.repository).value();
   engine::BatchMatchEngine batch;
   size_t answers = 0;
+  engine::BatchMatchStats stats;
   for (auto _ : state) {
     auto result = batch.Run(*matcher, setup.collection.query,
-                            setup.collection.repository, setup.mopts);
+                            setup.collection.repository, setup.mopts, &stats);
     answers = result->size();
     benchmark::DoNotOptimize(result);
   }
   state.counters["answers"] = static_cast<double>(answers);
+  state.counters["states"] = static_cast<double>(stats.match.states_explored);
 }
 BENCHMARK(BM_DensePerQuery)->Unit(benchmark::kMillisecond)->UseRealTime();
 

@@ -1,5 +1,8 @@
 #include "match/exhaustive_matcher.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 /// \file exhaustive_matcher.cc
@@ -32,18 +35,21 @@ Status Matcher::ValidateInputs(const schema::Schema& query,
 
 namespace {
 
+/// Extra slack of the lookahead tests over the plain budget (see the file
+/// comment of exhaustive_matcher.h).
+constexpr double kLookaheadSlack = 1e-9;
+
 /// Depth-first enumeration of assignments within one repository schema —
 /// over the full node set, or over sparse candidate lists when a
 /// `CandidateProvider` is attached to the objective.
 class SchemaEnumerator {
  public:
   SchemaEnumerator(const ObjectiveFunction& objective, int32_t schema_index,
-                   const MatchOptions& options, bool use_pruning,
-                   AnswerSet* out, MatchStats* stats)
+                   const MatchOptions& options, AnswerSet* out,
+                   MatchStats* stats)
       : objective_(objective),
         schema_index_(schema_index),
         options_(options),
-        use_pruning_(use_pruning),
         out_(out),
         stats_(stats) {
     const auto& s = objective_.repo().schema(schema_index_);
@@ -51,30 +57,62 @@ class SchemaEnumerator {
     used_.assign(schema_size_, false);
     targets_.assign(objective_.query_preorder().size(), schema::kInvalidNode);
     cost_budget_ = options_.delta_threshold * objective_.normalizer() + 1e-12;
+    lookahead_budget_ = cost_budget_ + kLookaheadSlack;
+    weight_name_ = objective_.options().weight_name;
   }
 
   void Run() {
-    // With candidate lists, a position with no candidates makes the whole
-    // schema infeasible — skip it without exploring the earlier positions.
-    if (const CandidateProvider* provider = objective_.candidates()) {
-      const size_t m = objective_.query_preorder().size();
-      for (size_t pos = 0; pos < m; ++pos) {
-        const std::vector<CandidateEntry>* list =
-            provider->CandidatesFor(pos, schema_index_);
-        if (list != nullptr && list->empty()) return;
-      }
+    const size_t m = objective_.query_preorder().size();
+    suffix_.assign(m + 1, 0.0);
+    for (size_t pos = m; pos-- > 0;) {
+      suffix_[pos] = suffix_[pos + 1] + MinContribution(pos);
+    }
+    // Even the cheapest node of every position is over budget (or some
+    // position has no candidate at all): nothing in this schema qualifies.
+    if (suffix_[0] > lookahead_budget_) {
+      CountPruned();
+      return;
     }
     Recurse(0, 0.0);
   }
 
  private:
+  /// The candidate list of `pos` in this schema, or nullptr when the
+  /// position is unrestricted (dense).
+  const std::vector<CandidateEntry>* ListFor(size_t pos) const {
+    const CandidateProvider* provider = objective_.candidates();
+    return provider == nullptr ? nullptr
+                               : provider->CandidatesFor(pos, schema_index_);
+  }
+
+  /// `w_name · min node cost` over the targets `pos` may take: a lower
+  /// bound on its contribution. +infinity when it has no target, also
+  /// when `w_name` is 0 (0 · inf would be NaN, which never prunes).
+  double MinContribution(size_t pos) const {
+    double min_cost = std::numeric_limits<double>::infinity();
+    if (const std::vector<CandidateEntry>* list = ListFor(pos)) {
+      if (!list->empty()) min_cost = list->front().cost;  // ascending
+    } else {
+      for (size_t i = 0; i < schema_size_; ++i) {
+        min_cost = std::min(
+            min_cost, objective_.NodeCost(pos, schema_index_,
+                                          static_cast<schema::NodeId>(i)));
+      }
+    }
+    return std::isinf(min_cost) ? min_cost : weight_name_ * min_cost;
+  }
+
+  void CountPruned() {
+    if (stats_ != nullptr) ++stats_->states_pruned;
+  }
+
   /// One step of the recursion for a fixed target with a known node cost.
   void Visit(size_t pos, double cost_so_far, schema::NodeId target,
              double assign_cost) {
     if (stats_ != nullptr) ++stats_->states_explored;
     double cost = cost_so_far + assign_cost;
-    if (use_pruning_ && cost > cost_budget_) {
-      if (stats_ != nullptr) ++stats_->states_pruned;
+    if (cost > cost_budget_ || cost + suffix_[pos + 1] > lookahead_budget_) {
+      CountPruned();
       return;
     }
     targets_[pos] = target;
@@ -99,12 +137,15 @@ class SchemaEnumerator {
     if (parent_pos != ObjectiveFunction::kNoParent) {
       parent_target = targets_[parent_pos];
     }
-    const std::vector<CandidateEntry>* list = nullptr;
-    if (const CandidateProvider* provider = objective_.candidates()) {
-      list = provider->CandidatesFor(pos, schema_index_);
-    }
-    if (list != nullptr) {
+    if (const std::vector<CandidateEntry>* list = ListFor(pos)) {
       for (const CandidateEntry& entry : *list) {
+        // The list ascends by cost, so once the cheapest completion through
+        // this entry is over budget, it is through every later one too.
+        if (cost_so_far + weight_name_ * entry.cost + suffix_[pos + 1] >
+            lookahead_budget_) {
+          CountPruned();
+          break;
+        }
         if (options_.injective && used_[static_cast<size_t>(entry.node)]) {
           continue;
         }
@@ -125,13 +166,16 @@ class SchemaEnumerator {
   const ObjectiveFunction& objective_;
   int32_t schema_index_;
   const MatchOptions& options_;
-  bool use_pruning_;
   AnswerSet* out_;
   MatchStats* stats_;
   size_t schema_size_ = 0;
   std::vector<bool> used_;
   std::vector<schema::NodeId> targets_;
   double cost_budget_ = 0.0;
+  double lookahead_budget_ = 0.0;
+  double weight_name_ = 0.0;
+  /// suffix_[p] = Σ_{q ≥ p} MinContribution(q); suffix_[m] = 0.
+  std::vector<double> suffix_;
 };
 
 }  // namespace
@@ -146,17 +190,8 @@ Result<AnswerSet> ExhaustiveMatcher::Match(const schema::Schema& query,
   AnswerSet answers;
   for (size_t s = 0; s < repo.schema_count(); ++s) {
     SchemaEnumerator enumerator(objective, static_cast<int32_t>(s), options,
-                                options_.use_pruning, &answers, stats);
+                                &answers, stats);
     enumerator.Run();
-  }
-  // Without pruning, over-threshold mappings were emitted too; filter them.
-  if (!options_.use_pruning) {
-    AnswerSet filtered;
-    for (const auto& m : answers.mappings()) {
-      if (m.delta <= options.delta_threshold + 1e-12) filtered.Add(m);
-    }
-    filtered.Finalize();
-    return filtered;
   }
   answers.Finalize();
   return answers;

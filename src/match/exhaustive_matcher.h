@@ -9,34 +9,40 @@
 /// schema and returns all with Δ ≤ δ_max. Completeness is what defines an
 /// exhaustive system in the paper (§2.1): `A^δ_S = {a ∈ SS | Δ(a) ≤ δ}`.
 ///
-/// The optional branch-and-bound prune never removes a qualifying answer:
-/// all cost contributions are non-negative, so a partial sum already above
-/// δ·normalizer cannot complete to a qualifying mapping. Disable it
-/// (`use_pruning = false`) to cross-check that property in tests.
+/// The depth-first search is a branch-and-bound over the unnormalized sum
+/// Σ = Δ·normalizer, with budget `δ·normalizer + 1e-12`. It cuts a branch
+/// only when no completion of it can stay within that budget, so it never
+/// removes a qualifying answer:
+///  * every contribution (`ObjectiveFunction::AssignCost`) is ≥ 0, so a
+///    partial sum already over budget stays over budget;
+///  * the contribution of query position q is `w_name·node + w_s·edge ≥
+///    w_name·min(q)`, where `min(q)` is the cheapest node cost q can get in
+///    the schema (the first entry of its candidate list, which ascends by
+///    cost, or the row minimum of the node costs on the dense path). So
+///    `suffix[p] = Σ_{q ≥ p} w_name·min(q)` lower-bounds what positions
+///    p..m−1 still add, and a partial sum `cost` at position p is cut when
+///    `cost + suffix[p + 1]` exceeds the budget — the *lookahead*;
+///  * the lookahead compares against the budget plus a further 1e-9. The
+///    suffix sums add the same terms in a different order than the search
+///    does, and the slack is orders of magnitude above that rounding, so a
+///    mapping the plain `Σ ≤ budget` test keeps is never cut.
+///
+/// The same bound cuts a sorted candidate list at its first entry whose
+/// cheapest completion is over budget, and skips a schema outright when
+/// `suffix[0]` is. The search order and every emitted Δ are those of the
+/// unpruned enumeration; only the work counters differ.
 
 namespace smb::match {
-
-/// \brief Exhaustive matcher configuration.
-struct ExhaustiveMatcherOptions {
-  /// Admissible branch-and-bound on the Δ threshold.
-  bool use_pruning = true;
-};
 
 /// \brief The complete reference system S1.
 class ExhaustiveMatcher : public Matcher {
  public:
-  explicit ExhaustiveMatcher(ExhaustiveMatcherOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "exhaustive"; }
 
   Result<AnswerSet> Match(const schema::Schema& query,
                           const schema::SchemaRepository& repo,
                           const MatchOptions& options,
                           MatchStats* stats = nullptr) const override;
-
- private:
-  ExhaustiveMatcherOptions options_;
 };
 
 }  // namespace smb::match

@@ -49,7 +49,12 @@ struct MatchStats {
   uint64_t states_explored = 0;
   /// Complete mappings whose Δ passed the threshold.
   uint64_t mappings_emitted = 0;
-  /// Partial assignments cut by the admissible Δ-bound.
+  /// Cuts made by the admissible Δ-bound. The exhaustive matcher counts
+  /// one per cut of every kind: a partial assignment over budget (the
+  /// budget test), one whose cheapest completion is over budget (the
+  /// lookahead), a sorted candidate list cut off at its first such entry
+  /// (the list cut-off), and a schema skipped whole because no mapping
+  /// into it can be within budget (the schema skip).
   uint64_t states_pruned = 0;
   /// Candidate entries produced by the repository index for this run
   /// (Σ per-(position, schema) list sizes); 0 on dense runs. Filled by the

@@ -21,8 +21,7 @@ Result<std::unique_ptr<Matcher>> MakeMatcher(
     std::string_view name, const schema::SchemaRepository& repo,
     const MatcherFactoryOptions& options) {
   if (name == "exhaustive") {
-    return std::unique_ptr<Matcher>(std::make_unique<ExhaustiveMatcher>(
-        ExhaustiveMatcherOptions{options.exhaustive_pruning}));
+    return std::unique_ptr<Matcher>(std::make_unique<ExhaustiveMatcher>());
   }
   if (name == "beam") {
     if (options.beam_width == 0) {

@@ -27,8 +27,6 @@ struct MatcherFactoryOptions {
   size_t max_frontier = 100000;
   /// cluster: seed of the clustering build.
   uint64_t cluster_seed = 2006;
-  /// exhaustive: admissible branch-and-bound on the Δ threshold.
-  bool exhaustive_pruning = true;
 };
 
 /// The matcher names the factory accepts, in display order.
