@@ -521,12 +521,14 @@ BENCHMARK(BM_AdaptivePerQuery)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // Bound-driven generation alone on N worker threads (the argument), at
 // target 0.9 and the default Δ = 0.25, where most cells escalate over
-// several rounds. Output is the same for every N (tests/index/
+// several rounds. At that Δ only full coverage certifies, so the rounds
+// are planned from schema sizes and every cell is scored once at its final
+// limit. Output is the same for every N (tests/index/
 // parallel_generation_test.cc); counters "scored" (committed budget, equal
-// across N), "computed" (node costs actually evaluated: escalation reuses
-// the costs a cell already has, equal across N) and "speculative" (scored
-// past the stop point and discarded) show what the work and the threads
-// cost.
+// across N), "computed" (node costs actually evaluated, equal across N and
+// here equal to "scored") and "speculative" (scored past a round's stop
+// point and discarded; 0 when the rounds are planned) show what the work
+// and the threads cost.
 void BM_AdaptiveGenerate(benchmark::State& state) {
   const Setup& setup = GetSetup(kIndexSchemas);
   auto prepared = index::PreparedRepository::Build(

@@ -20,14 +20,17 @@
 /// (postings → retrieved elements with exact trigram Dice and
 /// strong-evidence flags) and a per-cell *scoring* pass (max-heap of the C
 /// cheapest exact node costs with threshold-aware pruning, emitting the
-/// admissible skip-bound). `Generate` runs retrieval + one scoring pass per
-/// cell; `GenerateAdaptive` keeps the retrieval state alive and re-scores
-/// only the cells whose bound has not yet certified the caller's
-/// completeness target, at geometrically growing limits. A re-scored cell
-/// reuses the exact costs of its current entries instead of evaluating
-/// them again. With more than one thread both run through
-/// `ParallelCellScorer`, which commits scored blocks in cell order so the
-/// output matches the serial loop exactly.
+/// admissible skip-bound). `ScoreEveryCell` runs retrieval + one scoring
+/// pass per cell at a per-cell limit: `Generate` is that pass at one
+/// uniform limit. `GenerateAdaptive` either plans its escalation rounds
+/// from the schema sizes and then runs that same pass once (when only full
+/// coverage can certify at the run's Δ), or keeps the retrieval state
+/// alive and re-scores only the cells whose bound has not yet certified
+/// the caller's completeness target, at geometrically growing limits. A
+/// re-scored cell reuses the exact costs of its current entries instead of
+/// evaluating them again. With more than one thread every pass runs
+/// through `ParallelCellScorer`, which commits scored blocks in cell order
+/// so the output matches the serial loop exactly.
 
 namespace smb::index {
 
@@ -35,11 +38,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Certification margin in Δ units. Every matcher discards assignments
-/// whose accumulated cost exceeds `delta·normalizer + 1e-12` (and the
-/// unpruned exhaustive path filters emitted mappings at `Δ ≤ delta +
-/// 1e-12`), so a skipped element whose Δ-unit bound exceeds the threshold
-/// by this much strictly cannot contribute an answer.
+/// Certification margin in Δ units. Every matcher, the exhaustive one
+/// with its lookahead included, discards partial assignments whose cost
+/// exceeds `delta·normalizer + 1e-12`, so a skipped element whose Δ-unit
+/// bound exceeds the threshold by this much strictly cannot contribute an
+/// answer.
 constexpr double kCertifyMargin = 1e-9;
 
 /// One retrieved element of the current query position.
@@ -1038,20 +1041,15 @@ void CandidateGenerator::InitOutput(const schema::Schema& query,
   if (out->normalizer_ <= 0.0) out->normalizer_ = 1.0;
 }
 
-Result<QueryCandidates> CandidateGenerator::Generate(
-    const schema::Schema& query, size_t limit) const {
-  if (limit == 0) {
-    return Status::InvalidArgument("candidate limit must be positive");
-  }
-  SMB_RETURN_IF_ERROR(ValidateQuery(query));
-
-  const std::vector<schema::NodeId> preorder = query.PreOrder();
-  const size_t m = preorder.size();
-  const size_t schema_count = prepared_->repo().schema_count();
-
-  QueryCandidates out;
-  InitOutput(query, &out);
-  out.limit_ = limit;
+void CandidateGenerator::ScoreEveryCell(
+    const schema::Schema& query, const std::vector<schema::NodeId>& preorder,
+    const std::vector<size_t>& limits, QueryCandidates* out,
+    AdaptiveGenerationStats* spent) const {
+  const size_t schema_count = out->schema_count_;
+  auto spend = [spent](const CellWork& work) {
+    spent->budget_spent += work.scored;
+    spent->costs_computed += work.computed;
+  };
 
   const size_t threads = ResolveThreadCount(num_threads_);
   if (threads > 1) {
@@ -1060,22 +1058,22 @@ Result<QueryCandidates> CandidateGenerator::Generate(
                                block_max_enabled_, query, preorder);
     std::vector<PositionRetrieval> retrievals;
     workers.RetrieveAll(&retrievals);
-    std::vector<CellTask> tasks(m * schema_count);
-    for (size_t i = 0; i < tasks.size(); ++i) tasks[i] = {i, limit, {}};
+    std::vector<CellTask> tasks(limits.size());
+    for (size_t i = 0; i < tasks.size(); ++i) tasks[i] = {i, limits[i], {}};
     workers.ScoreInOrder(
         retrievals, tasks, [] { return false; },
         [&](const CellTask& task, ScoredCell& cell) {
-          out.cells_[task.cell_index].entries = std::move(cell.entries);
-          out.cells_[task.cell_index].skip_bound = cell.skip_bound;
+          out->cells_[task.cell_index].entries = std::move(cell.entries);
+          out->cells_[task.cell_index].skip_bound = cell.skip_bound;
+          spend(cell.work);
         });
-    FinalizeCounts(&out);
-    return out;
+    return;
   }
 
   GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
                           cutoff_enabled_, block_max_enabled_);
   PositionRetrieval retrieval;
-  for (size_t pos = 0; pos < m; ++pos) {
+  for (size_t pos = 0; pos < preorder.size(); ++pos) {
     const schema::SchemaNode& qnode = query.node(preorder[pos]);
     engine.Retrieve(qnode, &retrieval);
     // One scorer per query position: query-side setup (weights, PEQ
@@ -1083,12 +1081,29 @@ Result<QueryCandidates> CandidateGenerator::Generate(
     // scores through it.
     sim::BlockScorer scorer(retrieval.prepared, objective_.name);
     for (size_t si = 0; si < schema_count; ++si) {
-      QueryCandidates::Cell& cell = out.cells_[pos * schema_count + si];
-      engine.ScoreCell(retrieval, retrieval.wand_terms, scorer, qnode,
-                       static_cast<int32_t>(si), limit, {}, &cell.entries,
-                       &cell.skip_bound);
+      const size_t cell_index = pos * schema_count + si;
+      QueryCandidates::Cell& cell = out->cells_[cell_index];
+      spend(engine.ScoreCell(retrieval, retrieval.wand_terms, scorer, qnode,
+                             static_cast<int32_t>(si), limits[cell_index], {},
+                             &cell.entries, &cell.skip_bound));
     }
   }
+}
+
+Result<QueryCandidates> CandidateGenerator::Generate(
+    const schema::Schema& query, size_t limit) const {
+  if (limit == 0) {
+    return Status::InvalidArgument("candidate limit must be positive");
+  }
+  SMB_RETURN_IF_ERROR(ValidateQuery(query));
+
+  const std::vector<schema::NodeId> preorder = query.PreOrder();
+  QueryCandidates out;
+  InitOutput(query, &out);
+  out.limit_ = limit;
+  AdaptiveGenerationStats spent;
+  ScoreEveryCell(query, preorder,
+                 std::vector<size_t>(out.cells_.size(), limit), &out, &spent);
   FinalizeCounts(&out);
   return out;
 }
@@ -1132,10 +1147,12 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
 
   // Growing a cell past its schema size is pointless: the list already
   // covers every node (skip-bound +inf, always certified).
+  auto schema_size = [&](size_t si) {
+    return repo.schema(static_cast<int32_t>(si)).size();
+  };
   auto cap_for = [&](size_t si) {
-    const size_t schema_size = repo.schema(static_cast<int32_t>(si)).size();
-    return policy.max_limit > 0 ? std::min(policy.max_limit, schema_size)
-                                : schema_size;
+    return policy.max_limit > 0 ? std::min(policy.max_limit, schema_size(si))
+                                : schema_size(si);
   };
 
   // Retrieval state is kept per position so escalation rounds only re-run
@@ -1166,8 +1183,49 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
     local.costs_computed += work.computed;
   };
 
+  // Every finite skip-bound is ≤ 1 and the Δ-unit bound is monotone in it
+  // (IEEE multiply and divide are monotone, and weight_name ≥ 0), so when
+  // 1.0 does not certify no finite bound does: a cell certifies exactly
+  // when its limit reaches its schema size.
+  const bool only_full_coverage_certifies =
+      out.weight_name_ >= 0.0 &&
+      !CellComplete(1.0, out.weight_name_, out.normalizer_, delta_threshold);
+
   const size_t threads = ResolveThreadCount(num_threads_);
-  if (threads > 1) {
+  if (only_full_coverage_certifies) {
+    // The round loop below on the limits alone, with certification read off
+    // the schema sizes; then one scoring pass at the final limits.
+    auto set_limit = [&](size_t cell_index, size_t limit) {
+      limits[cell_index] = limit;
+      if (limit >= schema_size(cell_index % schema_count)) {
+        certified[cell_index] = 1;
+        ++certified_count;
+      }
+    };
+    for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
+      set_limit(cell_index, policy.initial_limit);
+    }
+    while (!target_met()) {
+      bool any_escalated = false;
+      for (size_t cell_index = 0; cell_index < total_cells && !target_met();
+           ++cell_index) {
+        const size_t cap = cap_for(cell_index % schema_count);
+        if (certified[cell_index] != 0 || limits[cell_index] >= cap) continue;
+        set_limit(cell_index,
+                  std::min(cap, limits[cell_index] * policy.growth_factor));
+        escalated[cell_index] = 1;
+        any_escalated = true;
+      }
+      if (!any_escalated) break;  // every uncertified cell is at its cap
+      ++local.rounds;
+    }
+    ScoreEveryCell(query, preorder, limits, &out, &local);
+    for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
+      assert(CellComplete(out.cells_[cell_index].skip_bound, out.weight_name_,
+                          out.normalizer_, delta_threshold) ==
+             (certified[cell_index] != 0));
+    }
+  } else if (threads > 1) {
     // The serial loop below, on the workers: round 0 scores every cell;
     // an escalation round scores the round's uncertified, growable cells
     // in (position, schema) order and stops where the serial loop stops

@@ -45,6 +45,24 @@
 /// certification requires the skipped cost to exceed that by ≥ 1e-9 in
 /// normalized Δ units).
 ///
+/// **When only full coverage certifies, the rounds are planned.** Every
+/// finite skip-bound is at most 1: node costs, the cutoff kernel's lower
+/// bounds and the trigram tiers all lie in [0, 1]. With `weight_name ≥ 0`
+/// the Δ-unit bound `weight_name · skip / normalizer` is monotone in the
+/// skip-bound under IEEE rounding, so when a skip-bound of 1.0 does not
+/// certify at Δ, no finite one does. A cell then certifies exactly when
+/// its limit reaches its schema size (skip-bound +infinity). That is the
+/// served regime: with m = 5 and the default weights `weight_name / 4.6`
+/// is 0.13 against Δ = 0.25. There `GenerateAdaptive` runs the round
+/// schedule on the integer limits alone, with no scoring, and then scores
+/// every cell once at its final limit — the same pass `Generate` runs with
+/// one uniform limit. Lists, skip-bounds, certificates and every
+/// `AdaptiveGenerationStats` field except the two work counters are those
+/// of the round-by-round loop (scoring at a limit from scratch equals the
+/// escalated cell, below); `budget_spent` and `costs_computed` count the
+/// single pass. Outside the regime (a tight Δ, or m ≤ 2 at Δ = 0.25) the
+/// round loop scores each round as described next.
+///
 /// **Escalation reuses costs.** An escalated cell is scored again at the
 /// larger limit, but the costs of its current entries are exact, so they
 /// are reused wherever a full `ComputeNodeCost` would run (while the
@@ -65,8 +83,8 @@
 /// retrieval runs per query position and scoring per block of cells on N
 /// workers (`ParallelFor`), each with its own scratch, `BlockScorer` and
 /// copy of the block-max resume hints. The output never depends on N:
-///  * round 0 and fixed-C generation score every cell, so blocks simply
-///    land in their own cells;
+///  * round 0, the planned single pass and fixed-C generation score every
+///    cell, so blocks simply land in their own cells;
 ///  * an escalation round must stop at the very cell where the serial loop
 ///    stops — the first one, in (position, schema) order, after which the
 ///    certified fraction reaches the target. Workers score order-contiguous
@@ -203,7 +221,10 @@ struct AdaptiveGenerationStats {
   /// cell's scoring set, summed per round, so an escalated cell counts its
   /// earlier candidates again. Costs reused from earlier rounds are not
   /// paid again; `costs_computed` is the paid cost. Counts committed cells
-  /// only, so it is the same for every thread count.
+  /// only, so it is the same for every thread count. When only full
+  /// coverage can certify at the run's Δ (see "planned" in the file
+  /// comment) each cell is scored once at its final limit, so this is the
+  /// sum of the final scoring sets and equals `costs_computed`.
   uint64_t budget_spent = 0;
   /// Node costs actually evaluated for committed cells (full or
   /// threshold-pruned), after reusing each escalated cell's known entry
@@ -244,8 +265,11 @@ class CandidateGenerator {
   /// its cap. Retrieval runs once per query position and is reused across
   /// rounds, and so are the exact costs of an escalated cell's entries;
   /// scoring reuses the same max-heap/cutoff machinery as `Generate`, so
-  /// kept candidate costs stay bit-identical to the dense pool's. `stats`, when non-null, receives the spent budget and the
-  /// achieved bound.
+  /// kept candidate costs stay bit-identical to the dense pool's. When no
+  /// list short of its whole schema can certify at `delta_threshold`, the
+  /// rounds are planned from the schema sizes and every cell is scored
+  /// once (see the file comment). `stats`, when non-null, receives the
+  /// spent budget and the achieved bound.
   Result<QueryCandidates> GenerateAdaptive(
       const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
       double delta_threshold, AdaptiveGenerationStats* stats = nullptr) const;
@@ -279,6 +303,13 @@ class CandidateGenerator {
  private:
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
+  /// Scores every cell of `out` once, at `limits[cell]` (position-major),
+  /// from scratch — serially, or on the workers — and adds the candidates
+  /// considered and costs computed to `spent`.
+  void ScoreEveryCell(const schema::Schema& query,
+                      const std::vector<schema::NodeId>& preorder,
+                      const std::vector<size_t>& limits, QueryCandidates* out,
+                      AdaptiveGenerationStats* spent) const;
   /// Recomputes generated/skipped totals from the final cells (the
   /// adaptive path re-scores cells, so accumulating during generation
   /// would double-count).

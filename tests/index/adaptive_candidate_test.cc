@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -24,7 +26,9 @@
 ///    every matcher and thread count.
 /// Plus: escalation rounds, which reuse the costs of a cell's current
 /// entries, give exactly what scoring every round from scratch gives (a
-/// replay of the rounds through `Generate` is the oracle); target 0.0
+/// replay of the rounds through `Generate` is the oracle); where only full
+/// coverage can certify, the rounds planned from schema sizes and scored
+/// once give the same lists and stats as that replay; target 0.0
 /// degenerates to `Generate(initial_limit)` bit-exactly, budget accounting
 /// is consistent, and policy validation rejects malformed inputs.
 
@@ -231,24 +235,33 @@ std::vector<size_t> StrongHitCounts(const PreparedRepository& prepared,
   return counts;
 }
 
+/// `Generate(query, L)` runs by limit L. A run depends only on the
+/// generator's settings and L, so one cache serves every policy and Δ.
+using GenerateCache = std::map<size_t, QueryCandidates>;
+
 /// \brief The serial escalation loop of `GenerateAdaptive`, replayed with
 /// every cell taken from a from-scratch `Generate(query, L)` at the limit L
 /// the loop asks for. Uses the same certification, target and cap rules;
 /// a cell scored at L considers all its strong hits and then enough other
 /// elements to reach min(L, |schema|), which gives the budget.
 struct Replay {
-  /// The `Generate` run each cell's final entries come from, by limit.
-  std::map<size_t, QueryCandidates> by_limit;
+  /// Each cell's final limit; its entries come from `Generate` at it.
   std::vector<size_t> limits;
+  /// Every `AdaptiveGenerationStats` field the loop defines, with
+  /// `budget_spent` summed over all rounds; `costs_computed` and
+  /// `speculative_scored` stay 0.
   AdaptiveGenerationStats stats;
+  /// Σ over cells of the scoring set at the cell's final limit: what one
+  /// pass over the final limits considers.
+  uint64_t final_scoring_sets = 0;
 };
 
 Replay ReplayFromScratch(const CandidateGenerator& generator,
                          const PreparedRepository& prepared,
                          const schema::Schema& query,
                          const match::ObjectiveOptions& objective,
-                         const AdaptiveCandidatePolicy& policy,
-                         double delta) {
+                         const AdaptiveCandidatePolicy& policy, double delta,
+                         GenerateCache* by_limit) {
   const schema::SchemaRepository& repo = prepared.repo();
   const size_t schema_count = repo.schema_count();
   const size_t total = query.PreOrder().size() * schema_count;
@@ -257,10 +270,9 @@ Replay ReplayFromScratch(const CandidateGenerator& generator,
 
   Replay replay;
   auto cells_at = [&](size_t limit) -> const QueryCandidates& {
-    auto it = replay.by_limit.find(limit);
-    if (it == replay.by_limit.end()) {
-      it = replay.by_limit
-               .emplace(limit, generator.Generate(query, limit).value())
+    auto it = by_limit->find(limit);
+    if (it == by_limit->end()) {
+      it = by_limit->emplace(limit, generator.Generate(query, limit).value())
                .first;
     }
     return it->second;
@@ -272,13 +284,15 @@ Replay ReplayFromScratch(const CandidateGenerator& generator,
     return policy.max_limit > 0 ? std::min(policy.max_limit, schema_size(c))
                                 : schema_size(c);
   };
+  auto scoring_set = [&](size_t c, size_t limit) {
+    return std::max(strong[c], std::min(limit, schema_size(c)));
+  };
   std::vector<uint8_t> certified(total, 0);
   std::vector<uint8_t> escalated(total, 0);
   size_t certified_count = 0;
   auto score = [&](size_t c, size_t limit) {
     replay.limits[c] = limit;
-    replay.stats.budget_spent +=
-        std::max(strong[c], std::min(limit, schema_size(c)));
+    replay.stats.budget_spent += scoring_set(c, limit);
     if (cells_at(limit).CellProvablyComplete(
             c / schema_count, static_cast<int32_t>(c % schema_count), delta)) {
       certified[c] = 1;
@@ -306,29 +320,116 @@ Replay ReplayFromScratch(const CandidateGenerator& generator,
   }
   replay.stats.cells_total = total;
   replay.stats.cells_certified = certified_count;
-  for (uint8_t e : escalated) replay.stats.cells_escalated += e;
+  replay.stats.achieved_completeness =
+      static_cast<double>(certified_count) / static_cast<double>(total);
+  std::map<size_t, uint64_t> distribution;
+  for (size_t c = 0; c < total; ++c) {
+    replay.stats.cells_escalated += escalated[c];
+    if (certified[c] == 0 && replay.limits[c] >= cap(c)) {
+      ++replay.stats.cells_at_cap;
+    }
+    ++distribution[replay.limits[c]];
+    replay.final_scoring_sets += scoring_set(c, replay.limits[c]);
+  }
+  replay.stats.final_limit_distribution.assign(distribution.begin(),
+                                               distribution.end());
   return replay;
+}
+
+/// Checks a `GenerateAdaptive` run against its replay: every stats field
+/// except the two work counters, and every cell's entries (bit-equal
+/// costs) and skip-bound against `Generate` at the cell's final limit.
+/// Also checks that every finite skip-bound is at most 1. Reports the
+/// first mismatching cell only.
+void ExpectMatchesReplay(const QueryCandidates& adaptive,
+                         const AdaptiveGenerationStats& stats,
+                         const Replay& replay, const GenerateCache& by_limit,
+                         const std::string& label) {
+  EXPECT_EQ(stats.rounds, replay.stats.rounds) << label;
+  EXPECT_EQ(stats.cells_total, replay.stats.cells_total) << label;
+  EXPECT_EQ(stats.cells_certified, replay.stats.cells_certified) << label;
+  EXPECT_EQ(stats.cells_escalated, replay.stats.cells_escalated) << label;
+  EXPECT_EQ(stats.cells_at_cap, replay.stats.cells_at_cap) << label;
+  EXPECT_EQ(stats.achieved_completeness, replay.stats.achieved_completeness)
+      << label;
+  EXPECT_EQ(stats.final_limit_distribution,
+            replay.stats.final_limit_distribution)
+      << label;
+  EXPECT_EQ(adaptive.limit(),
+            *std::max_element(replay.limits.begin(), replay.limits.end()))
+      << label;
+  EXPECT_LE(stats.costs_computed, stats.budget_spent) << label;
+  for (size_t pos = 0; pos < adaptive.positions(); ++pos) {
+    for (size_t si = 0; si < adaptive.schema_count(); ++si) {
+      const auto schema_index = static_cast<int32_t>(si);
+      const QueryCandidates& expected =
+          by_limit.at(replay.limits[pos * adaptive.schema_count() + si]);
+      const std::string cell = label + " cell (" + std::to_string(pos) +
+                               ", " + std::to_string(si) + ")";
+      const double bound = adaptive.SkipLowerBound(pos, schema_index);
+      if (bound != expected.SkipLowerBound(pos, schema_index) ||
+          (std::isfinite(bound) && bound > 1.0)) {
+        ADD_FAILURE() << cell << " skip-bound " << bound << " expected "
+                      << expected.SkipLowerBound(pos, schema_index);
+        return;
+      }
+      const auto& a = *adaptive.CandidatesFor(pos, schema_index);
+      const auto& e = *expected.CandidatesFor(pos, schema_index);
+      bool same = a.size() == e.size();
+      for (size_t i = 0; same && i < e.size(); ++i) {
+        same = a[i].node == e[i].node && a[i].cost == e[i].cost;
+      }
+      if (!same) {
+        ADD_FAILURE() << cell << " entries differ from Generate("
+                      << replay.limits[pos * adaptive.schema_count() + si]
+                      << ")";
+        return;
+      }
+    }
+  }
+}
+
+/// The Δ-unit bound of a skip-bound of 1.0 — the largest finite one —
+/// for an m-position query (`QueryCandidates::CellDeltaBound`'s formula).
+double CeilingDeltaBound(const match::ObjectiveOptions& objective, size_t m) {
+  double normalizer = objective.weight_name * static_cast<double>(m);
+  normalizer += objective.weight_structure * static_cast<double>(m - 1);
+  return objective.weight_name * 1.0 / normalizer;
+}
+
+/// True when no finite skip-bound can certify a cell at `delta`, so a cell
+/// certifies exactly when its list covers its schema.
+bool OnlyFullCoverageCertifies(const match::ObjectiveOptions& objective,
+                               size_t m, double delta) {
+  return !(CeilingDeltaBound(objective, m) > delta + 1e-9);
 }
 
 TEST(AdaptiveCandidateTest, EscalationMatchesFromScratchReplay) {
   // Escalated cells reuse their entries' costs; the lists, bounds,
   // certificates and budget must be exactly those of scoring each round
-  // from scratch, whatever the target, Δ, traversal or thread count.
+  // from scratch, whatever the target, Δ, traversal or thread count. At
+  // Δ = 0.25 only full coverage certifies, so generation plans the rounds
+  // and scores each cell once: its budget is the final pass alone.
   size_t configs_with_rounds = 0;
   for (double delta : {0.02, 0.25}) {
     AdaptiveSetup setup = MakeSetup(30, 111, delta);
     const match::ObjectiveOptions& objective = setup.options.objective;
+    const bool planned = OnlyFullCoverageCertifies(
+        objective, setup.query.PreOrder().size(), delta);
+    EXPECT_EQ(planned, delta == 0.25);
     auto prepared = PreparedRepository::Build(setup.repo, objective.name);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     for (bool block_max : {true, false}) {
       CandidateGenerator scratch(&*prepared, objective);
       scratch.set_block_max_enabled(block_max);
+      GenerateCache by_limit;
       for (double target : {0.5, 0.9, 1.0}) {
         AdaptiveCandidatePolicy policy;
         policy.min_provable_completeness = target;
         policy.initial_limit = 2;
         const Replay replay = ReplayFromScratch(
-            scratch, *prepared, setup.query, objective, policy, delta);
+            scratch, *prepared, setup.query, objective, policy, delta,
+            &by_limit);
         if (replay.stats.rounds >= 2) ++configs_with_rounds;
         for (size_t threads : {1u, 3u}) {
           const std::string label =
@@ -343,33 +444,11 @@ TEST(AdaptiveCandidateTest, EscalationMatchesFromScratchReplay) {
           auto adaptive =
               generator.GenerateAdaptive(setup.query, policy, delta, &stats);
           ASSERT_TRUE(adaptive.ok()) << adaptive.status();
-
-          EXPECT_EQ(stats.rounds, replay.stats.rounds) << label;
-          EXPECT_EQ(stats.cells_escalated, replay.stats.cells_escalated)
-              << label;
-          EXPECT_EQ(stats.cells_certified, replay.stats.cells_certified)
-              << label;
-          EXPECT_EQ(stats.budget_spent, replay.stats.budget_spent) << label;
-          EXPECT_LE(stats.costs_computed, stats.budget_spent) << label;
-          for (size_t pos = 0; pos < adaptive->positions(); ++pos) {
-            for (size_t si = 0; si < adaptive->schema_count(); ++si) {
-              const auto schema_index = static_cast<int32_t>(si);
-              const QueryCandidates& expected = replay.by_limit.at(
-                  replay.limits[pos * adaptive->schema_count() + si]);
-              const std::string cell = label + " cell (" +
-                                       std::to_string(pos) + ", " +
-                                       std::to_string(si) + ")";
-              EXPECT_EQ(adaptive->SkipLowerBound(pos, schema_index),
-                        expected.SkipLowerBound(pos, schema_index))
-                  << cell;
-              const auto& a = *adaptive->CandidatesFor(pos, schema_index);
-              const auto& e = *expected.CandidatesFor(pos, schema_index);
-              ASSERT_EQ(a.size(), e.size()) << cell;
-              for (size_t i = 0; i < e.size(); ++i) {
-                EXPECT_EQ(a[i].node, e[i].node) << cell << " rank " << i;
-                EXPECT_EQ(a[i].cost, e[i].cost) << cell << " rank " << i;
-              }
-            }
+          ExpectMatchesReplay(*adaptive, stats, replay, by_limit, label);
+          if (planned) {
+            EXPECT_EQ(stats.budget_spent, replay.final_scoring_sets) << label;
+          } else {
+            EXPECT_EQ(stats.budget_spent, replay.stats.budget_spent) << label;
           }
         }
       }
@@ -377,6 +456,195 @@ TEST(AdaptiveCandidateTest, EscalationMatchesFromScratchReplay) {
   }
   EXPECT_GT(configs_with_rounds, 0u)
       << "no configuration escalated over two rounds";
+}
+
+TEST(AdaptiveCandidateTest, PlannedRoundsMatchRoundByRoundReplay) {
+  // Property test of the planned path against the round-by-round replay,
+  // over seeds × Δ × target × initial limit × growth × cap × traversal ×
+  // threads. With m = 4 the ceiling is 0.6 / 3.6 ≈ 0.167: Δ 0.25 and 0.4
+  // are planned; at Δ 0.1 only the truncation tier (exact costs up to 1)
+  // can certify and at 0.02 every tier can, so both run the round loop.
+  size_t planned_configs = 0;
+  size_t round_loop_configs = 0;
+  size_t planned_with_rounds = 0;
+  for (uint64_t seed : {211u, 212u}) {
+    AdaptiveSetup setup = MakeSetup(12, seed);
+    const match::ObjectiveOptions& objective = setup.options.objective;
+    const size_t m = setup.query.PreOrder().size();
+    auto prepared = PreparedRepository::Build(setup.repo, objective.name);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    for (bool block_max : {true, false}) {
+      CandidateGenerator scratch(&*prepared, objective);
+      scratch.set_block_max_enabled(block_max);
+      GenerateCache by_limit;
+      for (double delta : {0.02, 0.1, 0.25, 0.4}) {
+        const bool planned = OnlyFullCoverageCertifies(objective, m, delta);
+        for (double target : {0.0, 0.5, 0.9, 1.0}) {
+          for (size_t initial : {1u, 2u, 4u}) {
+            for (size_t growth : {2u, 3u}) {
+              for (size_t cap : {0u, 5u}) {
+                AdaptiveCandidatePolicy policy;
+                policy.min_provable_completeness = target;
+                policy.initial_limit = initial;
+                policy.growth_factor = growth;
+                policy.max_limit = cap;
+                const Replay replay =
+                    ReplayFromScratch(scratch, *prepared, setup.query,
+                                      objective, policy, delta, &by_limit);
+                ++(planned ? planned_configs : round_loop_configs);
+                if (planned && replay.stats.rounds >= 2) {
+                  ++planned_with_rounds;
+                }
+                for (size_t threads : {1u, 3u}) {
+                  const std::string label =
+                      "seed=" + std::to_string(seed) +
+                      " block_max=" + std::to_string(block_max) +
+                      " delta=" + std::to_string(delta) +
+                      " target=" + std::to_string(target) +
+                      " initial=" + std::to_string(initial) +
+                      " growth=" + std::to_string(growth) +
+                      " cap=" + std::to_string(cap) +
+                      " threads=" + std::to_string(threads);
+                  CandidateGenerator generator(&*prepared, objective);
+                  generator.set_block_max_enabled(block_max);
+                  generator.set_num_threads(threads);
+                  AdaptiveGenerationStats stats;
+                  auto adaptive = generator.GenerateAdaptive(
+                      setup.query, policy, delta, &stats);
+                  ASSERT_TRUE(adaptive.ok()) << adaptive.status();
+                  ExpectMatchesReplay(*adaptive, stats, replay, by_limit,
+                                      label);
+                  if (planned) {
+                    EXPECT_EQ(stats.budget_spent, replay.final_scoring_sets)
+                        << label;
+                    EXPECT_EQ(stats.costs_computed, stats.budget_spent)
+                        << label;
+                    EXPECT_EQ(stats.speculative_scored, 0u) << label;
+                  } else {
+                    EXPECT_EQ(stats.budget_spent, replay.stats.budget_spent)
+                        << label;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(planned_configs, 0u);
+  EXPECT_GT(round_loop_configs, 0u);
+  EXPECT_GT(planned_with_rounds, 0u)
+      << "no planned configuration escalated over two rounds";
+}
+
+TEST(AdaptiveCandidateTest, RegimeSwitchesOneStepFromTheCeiling) {
+  // The two Δ values one `nextafter` step apart around the point where a
+  // skip-bound of 1.0 stops certifying: at the upper one only full
+  // coverage certifies (one scoring pass), at the lower one the round
+  // loop runs and pays every round. Both must reproduce the replay.
+  AdaptiveSetup setup = MakeSetup(12, 221);
+  const match::ObjectiveOptions& objective = setup.options.objective;
+  const size_t m = setup.query.PreOrder().size();
+  const double ceiling = CeilingDeltaBound(objective, m);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double planned_delta = ceiling - 1e-9;
+  while (ceiling > planned_delta + 1e-9) {
+    planned_delta = std::nextafter(planned_delta, kInf);
+  }
+  while (!(ceiling > std::nextafter(planned_delta, -kInf) + 1e-9)) {
+    planned_delta = std::nextafter(planned_delta, -kInf);
+  }
+  const double round_delta = std::nextafter(planned_delta, -kInf);
+  ASSERT_TRUE(OnlyFullCoverageCertifies(objective, m, planned_delta));
+  ASSERT_FALSE(OnlyFullCoverageCertifies(objective, m, round_delta));
+
+  auto prepared = PreparedRepository::Build(setup.repo, objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  AdaptiveCandidatePolicy policy;
+  policy.min_provable_completeness = 1.0;
+  policy.initial_limit = 2;
+  for (bool block_max : {true, false}) {
+    CandidateGenerator scratch(&*prepared, objective);
+    scratch.set_block_max_enabled(block_max);
+    GenerateCache by_limit;
+    for (double delta : {planned_delta, round_delta}) {
+      const bool planned = delta == planned_delta;
+      const Replay replay = ReplayFromScratch(
+          scratch, *prepared, setup.query, objective, policy, delta,
+          &by_limit);
+      ASSERT_GE(replay.stats.rounds, 2u);
+      ASSERT_LT(replay.final_scoring_sets, replay.stats.budget_spent);
+      for (size_t threads : {1u, 3u}) {
+        const std::string label =
+            std::string(planned ? "planned" : "round loop") +
+            " block_max=" + std::to_string(block_max) +
+            " threads=" + std::to_string(threads);
+        CandidateGenerator generator(&*prepared, objective);
+        generator.set_block_max_enabled(block_max);
+        generator.set_num_threads(threads);
+        AdaptiveGenerationStats stats;
+        auto adaptive =
+            generator.GenerateAdaptive(setup.query, policy, delta, &stats);
+        ASSERT_TRUE(adaptive.ok()) << adaptive.status();
+        ExpectMatchesReplay(*adaptive, stats, replay, by_limit, label);
+        EXPECT_EQ(stats.budget_spent, planned ? replay.final_scoring_sets
+                                              : replay.stats.budget_spent)
+            << label;
+      }
+    }
+  }
+}
+
+TEST(AdaptiveCandidateTest, FiniteSkipBoundsNeverExceedOne) {
+  // The planned path rests on two facts about every cell: its skip-bound
+  // is +infinity exactly when its list covers its schema, and otherwise
+  // lies in [0, 1]. A large type-mismatch penalty pushes many costs to the
+  // min(1, ·) cap, the truncation tier's largest values.
+  for (double penalty : {0.1, 0.6}) {
+    for (uint64_t seed : {231u, 232u}) {
+      AdaptiveSetup setup = MakeSetup(15, seed);
+      match::ObjectiveOptions objective = setup.options.objective;
+      objective.type_mismatch_penalty = penalty;
+      auto prepared = PreparedRepository::Build(setup.repo, objective.name);
+      ASSERT_TRUE(prepared.ok()) << prepared.status();
+      for (bool block_max : {true, false}) {
+        for (bool cutoff : {true, false}) {
+          CandidateGenerator generator(&*prepared, objective);
+          generator.set_block_max_enabled(block_max);
+          generator.set_cutoff_enabled(cutoff);
+          size_t finite = 0;
+          for (size_t limit : {1u, 2u, 4u, 8u, 16u, 32u}) {
+            auto candidates = generator.Generate(setup.query, limit);
+            ASSERT_TRUE(candidates.ok()) << candidates.status();
+            for (size_t pos = 0; pos < candidates->positions(); ++pos) {
+              for (size_t si = 0; si < candidates->schema_count(); ++si) {
+                const auto schema_index = static_cast<int32_t>(si);
+                const double bound =
+                    candidates->SkipLowerBound(pos, schema_index);
+                const bool covers =
+                    candidates->CandidatesFor(pos, schema_index)->size() ==
+                    setup.repo.schema(schema_index).size();
+                const std::string cell =
+                    "penalty=" + std::to_string(penalty) +
+                    " seed=" + std::to_string(seed) +
+                    " block_max=" + std::to_string(block_max) +
+                    " cutoff=" + std::to_string(cutoff) +
+                    " limit=" + std::to_string(limit) + " cell (" +
+                    std::to_string(pos) + ", " + std::to_string(si) + ")";
+                ASSERT_EQ(std::isinf(bound), covers) << cell;
+                if (covers) continue;
+                ++finite;
+                ASSERT_GE(bound, 0.0) << cell;
+                ASSERT_LE(bound, 1.0) << cell;
+              }
+            }
+          }
+          EXPECT_GT(finite, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(AdaptiveCandidateTest, TargetZeroMatchesFixedGenerateBitExactly) {
