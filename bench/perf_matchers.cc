@@ -528,7 +528,10 @@ BENCHMARK(BM_AdaptivePerQuery)->Unit(benchmark::kMillisecond)->UseRealTime();
 // across N), "computed" (node costs actually evaluated, equal across N and
 // here equal to "scored") and "speculative" (scored past a round's stop
 // point and discarded; 0 when the rounds are planned) show what the work
-// and the threads cost.
+// and the threads cost. "names" counts the name similarities computed: a
+// full cost whose element name was already scored at the same query
+// position takes the memoized similarity, so "names" is well below
+// "computed". Each worker keeps its own memo, so it grows with N.
 void BM_AdaptiveGenerate(benchmark::State& state) {
   const Setup& setup = GetSetup(kIndexSchemas);
   auto prepared = index::PreparedRepository::Build(
@@ -548,6 +551,7 @@ void BM_AdaptiveGenerate(benchmark::State& state) {
   }
   state.counters["scored"] = static_cast<double>(stats.budget_spent);
   state.counters["computed"] = static_cast<double>(stats.costs_computed);
+  state.counters["names"] = static_cast<double>(stats.names_scored);
   state.counters["speculative"] =
       static_cast<double>(stats.speculative_scored);
   state.counters["bound"] = stats.achieved_completeness;

@@ -1,5 +1,7 @@
 #include "eval/answer_set_io.h"
 
+#include <charconv>
+
 #include "common/strings.h"
 #include "io/csv.h"
 
@@ -17,6 +19,15 @@ std::string TargetsToField(const std::vector<schema::NodeId>& targets) {
     out += std::to_string(targets[i]);
   }
   return out;
+}
+
+/// Appends `value` formatted by `std::to_chars(…, args…)` to `out`.
+template <typename T, typename... Args>
+void AppendChars(std::string* out, T value, Args... args) {
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof(buf), value, args...);
+  out->append(buf, r.ptr);
 }
 
 Result<std::vector<schema::NodeId>> FieldToTargets(std::string_view field) {
@@ -37,16 +48,30 @@ Result<std::vector<schema::NodeId>> FieldToTargets(std::string_view field) {
 }  // namespace
 
 std::string WriteAnswerSetCsv(const match::AnswerSet& answers) {
-  io::CsvDocument doc;
-  doc.metadata.emplace_back("matchbounds", "answer_set");
-  doc.metadata.emplace_back("count", std::to_string(answers.size()));
-  doc.header = {"schema_index", "targets", "delta"};
+  // The bytes `io::WriteCsv` writes for the document with metadata
+  // matchbounds=answer_set and count=N, header (schema_index, targets,
+  // delta) and one row per mapping, written into one buffer. No field
+  // ever needs quoting (digits, ';' and a number), and `std::to_chars` in
+  // general format at precision 17 is printf's "%.17g".
+  std::string out = "#matchbounds=answer_set\n#count=";
+  AppendChars(&out, answers.size());
+  out += "\nschema_index,targets,delta\n";
+  size_t targets = 0;
+  for (const auto& m : answers.mappings()) targets += m.targets.size();
+  // Typical rows fit this; a longer one grows the buffer.
+  out.reserve(out.size() + answers.size() * 28 + targets * 4);
   for (const auto& m : answers.mappings()) {
-    doc.rows.push_back({std::to_string(m.schema_index),
-                        TargetsToField(m.targets),
-                        StrFormat("%.17g", m.delta)});
+    AppendChars(&out, m.schema_index);
+    out += ',';
+    for (size_t i = 0; i < m.targets.size(); ++i) {
+      if (i > 0) out += ';';
+      AppendChars(&out, m.targets[i]);
+    }
+    out += ',';
+    AppendChars(&out, m.delta, std::chars_format::general, 17);
+    out += '\n';
   }
-  return io::WriteCsv(doc);
+  return out;
 }
 
 Result<match::AnswerSet> ReadAnswerSetCsv(std::string_view text) {

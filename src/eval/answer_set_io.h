@@ -25,7 +25,11 @@
 
 namespace smb::eval {
 
-/// Serializes a finalized answer set.
+/// Serializes a finalized answer set: `#matchbounds=answer_set`,
+/// `#count=N`, the header, then one row per mapping with Δ as "%.17g".
+/// Written into one buffer with `std::to_chars`; the bytes are those of
+/// the generic `io::WriteCsv` document (served answer files of 400k rows
+/// are written on the request path).
 std::string WriteAnswerSetCsv(const match::AnswerSet& answers);
 
 /// Parses an answer set (finalizes it; re-ranks by Δ).

@@ -28,7 +28,10 @@
 /// alive and re-scores only the cells whose bound has not yet certified
 /// the caller's completeness target, at geometrically growing limits. A
 /// re-scored cell reuses the exact costs of its current entries instead of
-/// evaluating them again. With more than one thread every pass runs
+/// evaluating them again. Within one query position each distinct element
+/// name is scored once: the engine memoizes the name similarity by the
+/// index's name id and adds each element's type penalty on top. With more
+/// than one thread every pass runs
 /// through `ParallelCellScorer`, which commits scored blocks in cell order
 /// so the output matches the serial loop exactly.
 
@@ -118,6 +121,9 @@ struct CellWork {
   /// Node costs actually evaluated; the rest of the scoring set reused a
   /// cost from the cell's previous entries or was never reached.
   size_t computed = 0;
+  /// Full name similarities computed (`BlockScorer::Score`); the rest of
+  /// the full costs took the position's memoized score of the same name.
+  size_t names_scored = 0;
 };
 
 bool CellComplete(double skip_bound, double weight_name, double normalizer,
@@ -130,6 +136,8 @@ bool CellComplete(double skip_bound, double weight_name, double normalizer,
 /// The shared generation machinery: retrieval scratch plus the max-heap /
 /// cutoff cell scorer. One instance per Generate/GenerateAdaptive call and
 /// worker thread; not thread-safe (the scratch is reused across cells).
+/// It also memoizes, per query position, the name similarity of each
+/// distinct element name (`UsePosition` selects the position).
 class GenerationEngine {
  public:
   GenerationEngine(const PreparedRepository* prepared,
@@ -147,6 +155,18 @@ class GenerationEngine {
     }
     in_list_.assign(max_schema_size, 0);
     known_cost_.assign(max_schema_size, kNoKnownCost);
+    name_score_.resize(prepared_->name_count());
+    name_epoch_.assign(prepared_->name_count(), 0);
+  }
+
+  /// \brief Selects the query position the following `ScoreCell` calls
+  /// score. A new position invalidates the name memo in O(1) by starting a
+  /// new epoch; the same position again keeps it (the memoized scores
+  /// depend only on the query name and the element name).
+  void UsePosition(size_t pos) {
+    if (epoch_ != 0 && pos == position_) return;
+    position_ = pos;
+    ++epoch_;
   }
 
   /// \brief Runs the retrieval pass for one query node: trigram postings
@@ -274,7 +294,9 @@ class GenerationEngine {
   /// (empty on first scoring; may alias `*cell_entries`): their costs are
   /// exact, so the loop reuses them wherever it would compute a full
   /// `ComputeNodeCost`, and the result is bit-identical to scoring from
-  /// scratch. Returns the candidates considered and the costs computed.
+  /// scratch. `scorer` must be built over the query name of the position
+  /// last passed to `UsePosition`. Returns the candidates considered, the
+  /// costs computed and the name similarities computed.
   CellWork ScoreCell(const PositionRetrieval& retrieval,
                      std::vector<WandTerm>& wand_terms,
                      sim::BlockScorer& scorer, const schema::SchemaNode& qnode,
@@ -367,17 +389,28 @@ class GenerationEngine {
     // wherever a full ComputeNodeCost would run. The threshold-aware branch
     // always runs the kernel: a pruned candidate's lower bound feeds the
     // skip-bound, and an exact cost cannot stand in for it.
+    // A full cost is `ComputeNodeCost`'s own expression with the name
+    // similarity taken from the position's memo: elements sharing a name id
+    // share it, and the type penalty is applied per element, so every cost
+    // is bit-identical to the unmemoized one.
+    assert(epoch_ != 0);
     for (const match::CandidateEntry& entry : previous) {
       known_cost_[static_cast<size_t>(entry.node)] = entry.cost;
     }
     CellWork work;
-    auto full_cost = [&](const schema::SchemaNode& tnode,
+    auto full_cost = [&](const schema::SchemaNode& tnode, uint32_t ordinal,
                          const PreparedElement& element) {
       const double known = known_cost_[static_cast<size_t>(element.node)];
       if (known != kNoKnownCost) return known;
       ++work.computed;
-      return match::ComputeNodeCost(scorer, qnode, tnode, element.name,
-                                    *objective_);
+      const uint32_t name = prepared_->name_id(ordinal);
+      if (name_epoch_[name] != epoch_) {
+        name_epoch_[name] = epoch_;
+        name_score_[name] = scorer.Score(element.name);
+        ++work.names_scored;
+      }
+      return match::ApplyTypePenalty(1.0 - name_score_[name], qnode, tnode,
+                                     *objective_);
     };
     entries_.clear();
     double truncation_bound = kInf;
@@ -392,7 +425,7 @@ class GenerationEngine {
       if (entries_.size() < limit) {
         match::CandidateEntry entry;
         entry.node = element.node;
-        entry.cost = full_cost(tnode, element);
+        entry.cost = full_cost(tnode, ordinal, element);
         entries_.push_back(entry);
         std::push_heap(entries_.begin(), entries_.end(), heap_before);
         continue;
@@ -412,7 +445,7 @@ class GenerationEngine {
         }
         cost = scored.cost;
       } else {
-        cost = full_cost(tnode, element);
+        cost = full_cost(tnode, ordinal, element);
       }
       if (cost < top.cost || (cost == top.cost && element.node < top.node)) {
         truncation_bound = std::min(truncation_bound, top.cost);
@@ -795,6 +828,12 @@ class GenerationEngine {
   // Exact costs of the cell's previous entries, by node; kNoKnownCost
   // elsewhere, reset by walking those entries.
   std::vector<double> known_cost_;
+  // Name memo of the current position: `name_score_[id]` holds the name
+  // similarity of name id `id` when `name_epoch_[id] == epoch_`.
+  std::vector<double> name_score_;
+  std::vector<uint32_t> name_epoch_;
+  uint32_t epoch_ = 0;  // 0: no position selected yet
+  size_t position_ = 0;
   std::vector<uint32_t> scored_ordinals_;
   std::vector<match::CandidateEntry> entries_;
   // Block-max WAND scratch.
@@ -907,6 +946,7 @@ class ParallelCellScorer {
       const schema::SchemaNode& qnode = query_.node(preorder_[pos]);
       Worker& w = workers_[worker];
       w.hints = retrieval.wand_terms;
+      w.engine.UsePosition(pos);
       uint64_t block_scored = 0;
       {
         sim::BlockScorer scorer(retrieval.prepared, objective_->name);
@@ -1049,6 +1089,7 @@ void CandidateGenerator::ScoreEveryCell(
   auto spend = [spent](const CellWork& work) {
     spent->budget_spent += work.scored;
     spent->costs_computed += work.computed;
+    spent->names_scored += work.names_scored;
   };
 
   const size_t threads = ResolveThreadCount(num_threads_);
@@ -1076,6 +1117,7 @@ void CandidateGenerator::ScoreEveryCell(
   for (size_t pos = 0; pos < preorder.size(); ++pos) {
     const schema::SchemaNode& qnode = query.node(preorder[pos]);
     engine.Retrieve(qnode, &retrieval);
+    engine.UsePosition(pos);
     // One scorer per query position: query-side setup (weights, PEQ
     // bitmask scatter) loads once and every candidate of every schema
     // scores through it.
@@ -1181,6 +1223,7 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
   auto spend = [&](const CellWork& work) {
     local.budget_spent += work.scored;
     local.costs_computed += work.computed;
+    local.names_scored += work.names_scored;
   };
 
   // Every finite skip-bound is ≤ 1 and the Δ-unit bound is monotone in it
@@ -1276,6 +1319,7 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
     for (size_t pos = 0; pos < m; ++pos) {
       const schema::SchemaNode& qnode = query.node(preorder[pos]);
       engine.Retrieve(qnode, &retrievals[pos]);
+      engine.UsePosition(pos);
       sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
       for (size_t si = 0; si < schema_count; ++si) {
         const size_t cell_index = pos * schema_count + si;
@@ -1307,6 +1351,7 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
         }
         if (!row_has_work) continue;
         const schema::SchemaNode& qnode = query.node(preorder[pos]);
+        engine.UsePosition(pos);
         sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
         for (size_t si = 0; si < schema_count && !target_met(); ++si) {
           const size_t cell_index = pos * schema_count + si;

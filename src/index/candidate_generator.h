@@ -79,6 +79,20 @@
 /// per round are counted in `AdaptiveGenerationStats::budget_spent`; the
 /// costs actually evaluated in `costs_computed`.
 ///
+/// **Each distinct name is scored once per position.** A full node cost is
+/// `ApplyTypePenalty(1 − sim(query name, element name), types)`, and the
+/// similarity depends on the element only through its folded name, which
+/// `PreparedRepository::name_id` numbers densely. So the engine keeps, per
+/// query position, the similarity of every name id it has scored, and an
+/// element whose name was already scored at that position pays only its
+/// type penalty. The memo holds the raw similarity, never a penalized
+/// cost, and the cost is `ComputeNodeCost`'s own expression, so every cost
+/// is bit-identical to the unmemoized one. The threshold-aware branch is
+/// not memoized (its pruned lower bounds feed the skip-bound). The memo
+/// changes no list, no skip-bound and neither `budget_spent` nor
+/// `costs_computed`; the similarity-kernel runs it leaves are counted in
+/// `AdaptiveGenerationStats::names_scored`.
+///
 /// **Threads.** Cells are independent, so with `set_num_threads(N > 1)`
 /// retrieval runs per query position and scoring per block of cells on N
 /// workers (`ParallelFor`), each with its own scratch, `BlockScorer` and
@@ -230,10 +244,19 @@ struct AdaptiveGenerationStats {
   /// threshold-pruned), after reusing each escalated cell's known entry
   /// costs. At most `budget_spent`; the same for every thread count.
   uint64_t costs_computed = 0;
+  /// Full name similarities (`sim::BlockScorer::Score`) computed for
+  /// committed cells: the full costs among `costs_computed` that the
+  /// per-position name memo did not absorb (see "Each distinct name is
+  /// scored once per position" above). Threshold-pruned costs are not
+  /// counted. Each engine, one per call and one per worker thread, keeps
+  /// its own memo, so like `speculative_scored` this varies with the
+  /// thread count; with one thread it is at most positions × name count
+  /// per pass over the positions.
+  uint64_t names_scored = 0;
   /// Candidates scored on worker threads for cells past the point where
   /// the target was met, then discarded (see "Threads" above). Always 0
-  /// with one thread; the only field that may vary with the thread count
-  /// or the scheduling.
+  /// with one thread; with `names_scored`, the only field that may vary
+  /// with the thread count or the scheduling.
   uint64_t speculative_scored = 0;
   /// `ProvablyCompleteFraction(delta_threshold)` of the final lists — the
   /// certified per-query bound.
@@ -297,7 +320,8 @@ class CandidateGenerator {
   /// \brief Worker threads for retrieval and cell scoring (1 by default:
   /// the calling thread only; 0 = one per hardware thread). Candidate
   /// lists, skip-bounds and every `AdaptiveGenerationStats` field except
-  /// `speculative_scored` are identical for every value.
+  /// `speculative_scored` and `names_scored` are identical for every
+  /// value.
   void set_num_threads(size_t threads) { num_threads_ = threads; }
 
  private:
@@ -305,7 +329,7 @@ class CandidateGenerator {
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
   /// Scores every cell of `out` once, at `limits[cell]` (position-major),
   /// from scratch — serially, or on the workers — and adds the candidates
-  /// considered and costs computed to `spent`.
+  /// considered, costs computed and names scored to `spent`.
   void ScoreEveryCell(const schema::Schema& query,
                       const std::vector<schema::NodeId>& preorder,
                       const std::vector<size_t>& limits, QueryCandidates* out,

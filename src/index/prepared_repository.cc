@@ -140,7 +140,22 @@ Result<PreparedRepository> PreparedRepository::Build(
   prepared.stats_.distinct_trigrams = prepared.trigram_keys_.size();
   prepared.stats_.distinct_types = prepared.type_buckets_.size();
   prepared.BuildTrigramBlocks();
+  prepared.BuildNameIds();
   return prepared;
+}
+
+void PreparedRepository::BuildNameIds() {
+  // Keys view the elements' own folded strings, which outlive the map.
+  std::unordered_map<std::string_view, uint32_t> ids;
+  ids.reserve(elements_.size());
+  name_ids_.resize(elements_.size());
+  for (size_t ordinal = 0; ordinal < elements_.size(); ++ordinal) {
+    name_ids_[ordinal] =
+        ids.try_emplace(elements_[ordinal].name.folded,
+                        static_cast<uint32_t>(ids.size()))
+            .first->second;
+  }
+  name_count_ = ids.size();
 }
 
 void PreparedRepository::BuildTrigramBlocks() {

@@ -528,6 +528,8 @@ struct SnapshotCodec {
       return BodyError("has " + std::to_string(r.remaining()) +
                        " trailing byte(s)");
     }
+    // Name ids are derived from the validated elements, never read.
+    p.BuildNameIds();
     return p;
   }
 

@@ -11,6 +11,50 @@
 
 namespace smb::match {
 
+namespace {
+
+bool SameKey(const Mapping& a, const Mapping& b) {
+  return a.schema_index == b.schema_index && a.targets == b.targets;
+}
+
+/// The `MappingKeyHash` mix of `m`'s key, then a splitmix64 finalizer so
+/// the low bits index a table well. Reads the key in place.
+uint64_t HashKey(const Mapping& m) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  };
+  mix(static_cast<uint32_t>(m.schema_index));
+  for (schema::NodeId t : m.targets) mix(static_cast<uint32_t>(t));
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+/// The first answer of each key, in order. Equal keys are adjacent in a
+/// ranking only when their Δs tie, so kept answers are found through an
+/// open-addressing table of their indices; no key is copied.
+std::vector<Mapping> KeepFirstOfEachKey(std::vector<Mapping>& ranked) {
+  size_t capacity = 16;
+  while (capacity < 2 * ranked.size()) capacity <<= 1;
+  constexpr size_t kEmpty = static_cast<size_t>(-1);
+  std::vector<size_t> slots(capacity, kEmpty);
+  std::vector<Mapping> kept;
+  kept.reserve(ranked.size());
+  for (Mapping& m : ranked) {
+    size_t s = static_cast<size_t>(HashKey(m)) & (capacity - 1);
+    while (slots[s] != kEmpty && !SameKey(kept[slots[s]], m)) {
+      s = (s + 1) & (capacity - 1);
+    }
+    if (slots[s] != kEmpty) continue;  // a better-ranked answer has the key
+    slots[s] = kept.size();
+    kept.push_back(std::move(m));
+  }
+  return kept;
+}
+
+}  // namespace
+
 void AnswerSet::Add(Mapping mapping) {
   mappings_.push_back(std::move(mapping));
   finalized_ = false;
@@ -19,34 +63,7 @@ void AnswerSet::Add(Mapping mapping) {
 void AnswerSet::Finalize() {
   std::sort(mappings_.begin(), mappings_.end(), Mapping::RankLess);
   // Deduplicate by key, keeping the best-ranked instance.
-  std::vector<Mapping> unique;
-  unique.reserve(mappings_.size());
-  for (auto& m : mappings_) {
-    if (!unique.empty() && unique.back().key() == m.key()) continue;
-    unique.push_back(std::move(m));
-  }
-  // RankLess sorts by delta first, so equal keys are not necessarily
-  // adjacent; do a key-based pass when duplicates could remain.
-  std::map<Mapping::Key, double> seen;
-  bool has_dupes = false;
-  for (const auto& m : unique) {
-    if (!seen.emplace(m.key(), m.delta).second) {
-      has_dupes = true;
-      break;
-    }
-  }
-  if (has_dupes) {
-    seen.clear();
-    std::vector<Mapping> dedup;
-    dedup.reserve(unique.size());
-    for (auto& m : unique) {
-      if (seen.emplace(m.key(), m.delta).second) {
-        dedup.push_back(std::move(m));
-      }
-    }
-    unique = std::move(dedup);
-  }
-  mappings_ = std::move(unique);
+  mappings_ = KeepFirstOfEachKey(mappings_);
   finalized_ = true;
 }
 

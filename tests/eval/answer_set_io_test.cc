@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/strings.h"
+#include "io/csv.h"
+
 namespace smb::eval {
 namespace {
 
@@ -71,6 +80,63 @@ TEST(AnswerSetIoTest, FileRoundTrip) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status();
   EXPECT_EQ(reparsed->size(), 3u);
   EXPECT_FALSE(ReadAnswerSetFile("/no/such.csv").ok());
+}
+
+/// The answer file as a generic CSV document: one row of
+/// (schema_index, targets joined by ';', "%.17g" delta) per mapping.
+std::string DocumentCsv(const match::AnswerSet& answers) {
+  io::CsvDocument doc;
+  doc.metadata.emplace_back("matchbounds", "answer_set");
+  doc.metadata.emplace_back("count", std::to_string(answers.size()));
+  doc.header = {"schema_index", "targets", "delta"};
+  for (const auto& m : answers.mappings()) {
+    std::string targets;
+    for (size_t i = 0; i < m.targets.size(); ++i) {
+      if (i > 0) targets += ';';
+      targets += std::to_string(m.targets[i]);
+    }
+    doc.rows.push_back({std::to_string(m.schema_index), targets,
+                        StrFormat("%.17g", m.delta)});
+  }
+  return io::WriteCsv(doc);
+}
+
+TEST(AnswerSetIoTest, WriterMatchesGenericCsvDocument) {
+  Rng rng(17);
+  match::AnswerSet set;
+  const std::vector<double> edges = {
+      0.0, 1.0, 0.1, 0.25, 1.0 / 3.0, 2.0 / 3.0, 1e-5, 1e-300, 123456789.0,
+      1e17, 1e16 + 2.0, std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), std::nextafter(0.25, 1.0),
+      std::nextafter(0.25, 0.0)};
+  for (size_t i = 0; i < 4000; ++i) {
+    match::Mapping m;
+    m.schema_index = static_cast<int32_t>(
+        i % 3 == 0 ? rng.UniformIndex(2'000'000'000) : rng.UniformIndex(100));
+    const size_t width = 1 + rng.UniformIndex(6);
+    for (size_t t = 0; t < width; ++t) {
+      m.targets.push_back(static_cast<schema::NodeId>(
+          t == 0 && i % 7 == 0 ? rng.UniformIndex(2'000'000'000)
+                               : rng.UniformIndex(40)));
+    }
+    if (i < edges.size()) {
+      m.delta = edges[i];
+    } else if (i % 2 == 0) {
+      m.delta = rng.UniformDouble();
+    } else {
+      // Sums of node costs over a normalizer, as the matchers emit them.
+      double sum = 0.0;
+      for (size_t t = 0; t < width; ++t) sum += rng.UniformDouble();
+      m.delta = sum / static_cast<double>(width + rng.UniformIndex(5));
+    }
+    set.Add(std::move(m));
+  }
+  set.Finalize();
+  EXPECT_EQ(WriteAnswerSetCsv(set), DocumentCsv(set));
+
+  match::AnswerSet empty;
+  empty.Finalize();
+  EXPECT_EQ(WriteAnswerSetCsv(empty), DocumentCsv(empty));
 }
 
 TEST(GroundTruthIoTest, RoundTrips) {

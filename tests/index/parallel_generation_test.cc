@@ -13,7 +13,8 @@
 /// Candidate generation on worker threads
 /// (`CandidateGenerator::set_num_threads`) must not depend on the thread
 /// count: every cell's entries and skip-bound, every
-/// `AdaptiveGenerationStats` field except `speculative_scored`, and the
+/// `AdaptiveGenerationStats` field except `speculative_scored` and
+/// `names_scored` (each worker keeps its own name memo), and the
 /// engine's answers are the same at 1, 2, 3 and 8 threads. Partial targets
 /// matter most: there an escalation round stops mid-round at the first
 /// cell, in (position, schema) order, where the target is met, and the
@@ -179,6 +180,9 @@ TEST(ParallelGenerationTest, EscalationCostsTrackCoverageNotRounds) {
   // planned and every cell is scored once at its final limit: the
   // candidates considered and the costs evaluated are the same single
   // pass, at most one per (cell, node) pair, however many rounds ran.
+  // The stream reuses names heavily, so the name memo absorbs most of the
+  // full costs: each engine scores a name at most once per position it
+  // visits, and each engine visits a position in one run.
   synth::StreamOptions sopts;
   sopts.num_schemas = 150;
   sopts.vocabulary_size = 512;
@@ -216,7 +220,12 @@ TEST(ParallelGenerationTest, EscalationCostsTrackCoverageNotRounds) {
     EXPECT_GE(stats.rounds, 2u) << label;
     EXPECT_LE(stats.budget_spent, cell_nodes) << label;
     EXPECT_EQ(stats.costs_computed, stats.budget_spent) << label;
+    EXPECT_LE(stats.names_scored,
+              threads * query->PreOrder().size() * prepared->name_count())
+        << label;
+    EXPECT_LT(stats.names_scored, stats.costs_computed) << label;
   }
+  EXPECT_LT(prepared->name_count(), prepared->element_count());
 }
 
 class ParallelEngineTest : public ::testing::TestWithParam<const char*> {};

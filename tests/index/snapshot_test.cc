@@ -58,6 +58,7 @@ void ExpectIndexesIdentical(const PreparedRepository& a,
     EXPECT_TRUE(na.peq_chars == nb.peq_chars);
     EXPECT_TRUE(na.peq_masks == nb.peq_masks);
     EXPECT_EQ(na.name_group, nb.name_group);
+    EXPECT_EQ(a.name_id(o), b.name_id(o));
     EXPECT_TRUE(nb.kernel_ready);
     // Loaded provenance points at the loaded index's own tables.
     EXPECT_EQ(nb.token_table, &b.token_table());
@@ -93,6 +94,7 @@ void ExpectIndexesIdentical(const PreparedRepository& a,
     EXPECT_EQ(*type_a, *type_b);
   }
   EXPECT_EQ(a.token_table().size(), b.token_table().size());
+  EXPECT_EQ(a.name_count(), b.name_count());
   EXPECT_EQ(a.stats().element_count, b.stats().element_count);
   EXPECT_EQ(a.stats().distinct_tokens, b.stats().distinct_tokens);
   EXPECT_EQ(a.stats().distinct_trigrams, b.stats().distinct_trigrams);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace smb::match {
@@ -39,6 +43,49 @@ TEST(AnswerSetTest, FinalizeDeduplicatesByKey) {
   set.Finalize();
   EXPECT_EQ(set.size(), 1u);
   EXPECT_DOUBLE_EQ(set.mappings()[0].delta, 0.2);
+}
+
+/// Finalize's contract, computed the plain way: rank every answer, then
+/// keep the first-ranked answer of each key.
+std::vector<Mapping> ReferenceFinalize(std::vector<Mapping> answers) {
+  std::stable_sort(answers.begin(), answers.end(), Mapping::RankLess);
+  std::set<Mapping::Key> seen;
+  std::vector<Mapping> out;
+  for (Mapping& m : answers) {
+    if (seen.insert(m.key()).second) out.push_back(std::move(m));
+  }
+  return out;
+}
+
+TEST(AnswerSetTest, FinalizeMatchesReferenceWithAndWithoutDuplicates) {
+  Rng rng(5);
+  for (size_t trial = 0; trial < 40; ++trial) {
+    // Even trials draw from a key space far larger than the set (almost
+    // surely no duplicate); odd ones from a small one, where the same key
+    // recurs under equal and under different Δs.
+    const size_t key_space = trial % 2 == 0 ? 1'000'000 : 50;
+    std::vector<Mapping> answers;
+    const size_t n = 1 + rng.UniformIndex(3000);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t key = rng.UniformIndex(key_space);
+      Mapping m;
+      m.schema_index = static_cast<int32_t>(key % 7);
+      for (size_t k = key / 7, t = 0; t < 3; ++t, k /= 13) {
+        m.targets.push_back(static_cast<schema::NodeId>(k % 13));
+      }
+      m.delta = static_cast<double>(rng.UniformIndex(8)) / 8.0;
+      answers.push_back(std::move(m));
+    }
+    AnswerSet set;
+    for (const Mapping& m : answers) set.Add(m);
+    set.Finalize();
+    const std::vector<Mapping> want = ReferenceFinalize(answers);
+    ASSERT_EQ(set.size(), want.size()) << "trial " << trial;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(set.mappings()[i].key(), want[i].key()) << "trial " << trial;
+      EXPECT_EQ(set.mappings()[i].delta, want[i].delta) << "trial " << trial;
+    }
+  }
 }
 
 TEST(AnswerSetTest, CountAtThreshold) {

@@ -276,7 +276,8 @@ void PrintAdaptiveStats(const engine::BatchMatchStats& stats) {
             << FormatDouble(stats.adaptive.achieved_completeness * 100.0, 1)
             << "% certified in " << stats.adaptive.rounds
             << " escalation round(s), " << stats.adaptive.budget_spent
-            << " candidates scored, " << stats.adaptive.cells_escalated
+            << " candidates scored, " << stats.adaptive.names_scored
+            << " name scores, " << stats.adaptive.cells_escalated
             << " of " << stats.adaptive.cells_total << " cells escalated";
 }
 
