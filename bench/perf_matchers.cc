@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +23,7 @@
 #include "match/matcher_factory.h"
 #include "match/topk_matcher.h"
 #include "synth/generator.h"
+#include "synth/stream.h"
 
 namespace {
 
@@ -557,6 +560,79 @@ void BM_AdaptiveGenerate(benchmark::State& state) {
   state.counters["bound"] = stats.achieved_completeness;
 }
 BENCHMARK(BM_AdaptiveGenerate)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One served cold miss end to end through the engine, on a streamed
+// collection of N schemas (the argument; default `StreamOptions`, seed 1)
+// with a prebuilt index: the exhaustive matcher at bound-driven target 0.9,
+// Δ = 0.25, 2 threads, rotating over 8 five-element queries. Counter
+// "match_ms" is the mean `BatchMatchStats::match_seconds` — the phase in
+// which workers run their schema ranges against the run's one objective.
+struct StreamSetup {
+  schema::SchemaRepository repo;
+  std::vector<schema::Schema> queries;
+  std::unique_ptr<index::PreparedRepository> prepared;
+};
+
+const StreamSetup& GetStreamSetup(size_t num_schemas,
+                                  const match::MatchOptions& mopts) {
+  static std::map<size_t, StreamSetup> cache;
+  auto it = cache.find(num_schemas);
+  if (it != cache.end()) return it->second;
+  synth::StreamOptions sopts;
+  sopts.num_schemas = num_schemas;
+  auto stream = synth::SchemaStream::Create(sopts).value();
+  StreamSetup setup;
+  setup.repo = synth::BuildStreamRepository(stream).value();
+  Rng rng(7);
+  for (int q = 0; q < 8; ++q) {
+    setup.queries.push_back(stream.GenerateQuery(5, &rng).value());
+  }
+  StreamSetup& stored =
+      cache.emplace(num_schemas, std::move(setup)).first->second;
+  // Built over the repository at its final address (`BuiltOver` checks it).
+  stored.prepared = std::make_unique<index::PreparedRepository>(
+      index::PreparedRepository::Build(stored.repo, mopts.objective.name)
+          .value());
+  return stored;
+}
+
+void BM_EngineRunStream(benchmark::State& state) {
+  static const sim::SynonymTable kTable = sim::SynonymTable::Builtin();
+  match::MatchOptions mopts;
+  mopts.delta_threshold = 0.25;
+  mopts.objective.name.synonyms = &kTable;
+  const StreamSetup& setup =
+      GetStreamSetup(static_cast<size_t>(state.range(0)), mopts);
+  match::ExhaustiveMatcher matcher;
+  engine::BatchMatchOptions bopts;
+  bopts.num_threads = 2;
+  index::AdaptiveCandidatePolicy policy;
+  policy.min_provable_completeness = 0.9;
+  bopts.adaptive = policy;
+  bopts.prepared_repository = setup.prepared.get();
+  engine::BatchMatchEngine batch(bopts);
+  double match_seconds = 0.0;
+  size_t runs = 0;
+  for (auto _ : state) {
+    engine::BatchMatchStats stats;
+    auto result =
+        batch.Run(matcher, setup.queries[runs % setup.queries.size()],
+                  setup.repo, mopts, &stats);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result);
+    match_seconds += stats.match_seconds;
+    ++runs;
+  }
+  if (runs > 0) {
+    state.counters["match_ms"] =
+        1000.0 * match_seconds / static_cast<double>(runs);
+  }
+}
+BENCHMARK(BM_EngineRunStream)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_ClusteringBuild(benchmark::State& state) {

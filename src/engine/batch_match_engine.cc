@@ -6,7 +6,8 @@
 
 /// \file batch_match_engine.cc
 /// \brief Sharded batch matching: dense/sparse provider setup, worker
-/// pool, deterministic merge, adaptive budget escalation.
+/// pool over schema ranges, deterministic merge, adaptive budget
+/// escalation.
 
 #include "common/parallel.h"
 #include "common/timing.h"
@@ -17,8 +18,9 @@ namespace {
 
 using Clock = SteadyClock;
 
+/// A contiguous range of repository schemas, run by one worker.
 struct Shard {
-  int32_t first_schema = 0;
+  size_t first_schema = 0;
   size_t schema_count = 0;
 };
 
@@ -26,35 +28,12 @@ std::vector<Shard> PartitionSchemas(size_t schema_count, size_t shard_size) {
   std::vector<Shard> shards;
   for (size_t base = 0; base < schema_count; base += shard_size) {
     Shard shard;
-    shard.first_schema = static_cast<int32_t>(base);
+    shard.first_schema = base;
     shard.schema_count = std::min(shard_size, schema_count - base);
     shards.push_back(shard);
   }
   return shards;
 }
-
-/// A shard's window into per-query candidate lists: translates shard-local
-/// schema indices to the global ones the generator indexed (the sparse
-/// counterpart of ShardCostView).
-class ShardCandidateView : public match::CandidateProvider {
- public:
-  ShardCandidateView(const match::CandidateProvider* global,
-                     int32_t first_schema)
-      : global_(global), first_schema_(first_schema) {}
-
-  const std::vector<match::CandidateEntry>* CandidatesFor(
-      size_t pos, int32_t schema_index) const override {
-    return global_->CandidatesFor(pos, first_schema_ + schema_index);
-  }
-
-  double SkipLowerBound(size_t pos, int32_t schema_index) const override {
-    return global_->SkipLowerBound(pos, first_schema_ + schema_index);
-  }
-
- private:
-  const match::CandidateProvider* global_;
-  int32_t first_schema_;
-};
 
 }  // namespace
 
@@ -65,16 +44,6 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   // Stats are defined on *every* exit path: callers that reuse one stats
   // struct across runs never read a stale previous run after a failure.
   if (stats != nullptr) *stats = BatchMatchStats{};
-  if (match_options.shared_costs != nullptr) {
-    return Status::InvalidArgument(
-        "MatchOptions::shared_costs is managed by the batch engine and must "
-        "be null on entry");
-  }
-  if (match_options.candidates != nullptr) {
-    return Status::InvalidArgument(
-        "MatchOptions::candidates is managed by the batch engine and must "
-        "be null on entry; set BatchMatchOptions::candidate_limit instead");
-  }
   if (options_.prepared_repository != nullptr &&
       !options_.prepared_repository->BuiltOver(repo)) {
     return Status::InvalidArgument(
@@ -84,8 +53,8 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
 
   size_t threads = ResolveThreadCount(options_.num_threads);
 
-  // Matchers holding cross-schema state (e.g. a clustering indexed by
-  // global schema position) cannot run against shards: one single-threaded
+  // Matchers that refuse sharding (their per-run setup spans the whole
+  // repository, e.g. ranking a clustering) get one single-threaded
   // whole-repository run. No shared pool either — such matchers prune by
   // their own candidate sets and would read only a sliver of a dense pool,
   // so the lazy per-instance cache is strictly cheaper. An empty repository
@@ -108,6 +77,15 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     return answers;
   }
 
+  BatchMatchStats local;
+  // Validated once for the whole run; every shard reads the same inputs.
+  if (Status valid = match::Matcher::ValidateInputs(query, repo,
+                                                    match_options);
+      !valid.ok()) {
+    if (stats != nullptr) *stats = local;
+    return valid;
+  }
+
   size_t shard_size = options_.shard_size;
   if (shard_size == 0) {
     // Several shards per thread so a slow shard doesn't idle the others;
@@ -117,12 +95,10 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   std::vector<Shard> shards = PartitionSchemas(repo.schema_count(),
                                                shard_size);
 
-  BatchMatchStats local;
   local.shard_count = shards.size();
 
   const bool adaptive = options_.adaptive.has_value();
-  const bool sparse =
-      (options_.candidate_limit > 0 || adaptive) && !query.empty();
+  const bool sparse = options_.candidate_limit > 0 || adaptive;
 
   // Phase 1, sparse: query-independent repository index (reused when the
   // caller prebuilt it) + per-query candidate generation — at the fixed
@@ -172,7 +148,7 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   // *schemas*, not shards, so it gets the full thread count even when
   // shards are few.
   std::optional<SimilarityMatrixPool> pool;
-  if (!sparse && options_.share_similarity_matrices && !query.empty()) {
+  if (!sparse) {
     Clock::time_point start = Clock::now();
     auto built =
         SimilarityMatrixPool::Build(query, repo, match_options.objective,
@@ -198,59 +174,47 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
         for (size_t s = 0; s < shards[i].schema_count; ++s) {
           local.shard_candidates_generated[i] +=
               candidates
-                  ->CandidatesFor(pos, shards[i].first_schema +
-                                           static_cast<int32_t>(s))
+                  ->CandidatesFor(pos, static_cast<int32_t>(
+                                           shards[i].first_schema + s))
                   ->size();
         }
       }
     }
   }
 
-  // Phase 2: workers claim shards off a shared counter. Every slot below is
-  // written by exactly one worker, so no locking is needed.
-  std::vector<Result<match::AnswerSet>> shard_answers(
-      shards.size(), Status::Internal("shard never ran"));
+  // Phase 2: workers claim shards off a shared counter and run each range
+  // against one objective over the whole repository. The pool or the
+  // candidate lists attached to it answer every cost the matchers read, so
+  // its lazy cache is never written and the workers share it read-only.
+  // Every slot below is written by exactly one worker, so no locking is
+  // needed.
+  const match::ObjectiveFunction objective(
+      &query, &repo, match_options.objective, pool ? &*pool : nullptr,
+      candidates ? &*candidates : nullptr);
+  std::vector<Status> shard_status(shards.size());
+  std::vector<match::AnswerSet> shard_answers(shards.size());
   std::vector<match::MatchStats> shard_stats(shards.size());
   Clock::time_point match_start = Clock::now();
   ParallelFor(threads, shards.size(), [&](size_t /*worker*/, size_t i) {
-    const Shard& shard = shards[i];
-    schema::SchemaRepository shard_repo;
-    for (size_t s = 0; s < shard.schema_count; ++s) {
-      auto added = shard_repo.Add(
-          repo.schema(shard.first_schema + static_cast<int32_t>(s)));
-      if (!added.ok()) {
-        shard_answers[i] = added.status().WithContext(
-            "while building repository shard " + std::to_string(i));
-        return;
-      }
-    }
-    ShardCostView cost_view(pool ? &*pool : nullptr, shard.first_schema);
-    ShardCandidateView candidate_view(candidates ? &*candidates : nullptr,
-                                      shard.first_schema);
-    match::MatchOptions shard_options = match_options;
-    if (pool) shard_options.shared_costs = &cost_view;
-    if (candidates) shard_options.candidates = &candidate_view;
-    shard_answers[i] =
-        matcher.Match(query, shard_repo, shard_options, &shard_stats[i]);
+    shard_status[i] = matcher.MatchSchemas(
+        objective, shards[i].first_schema, shards[i].schema_count,
+        match_options, &shard_answers[i], &shard_stats[i]);
+    shard_answers[i].Finalize();
   });
   local.match_seconds = SecondsSince(match_start);
 
-  // Merge: first error (by shard order) wins; otherwise translate each
-  // shard-local schema index back to the global repository and re-rank.
+  // Merge: first error (by shard order) wins; otherwise the answers already
+  // carry repository-wide schema indices and move into one ranking.
   match::AnswerSet merged;
   for (size_t i = 0; i < shards.size(); ++i) {
-    if (!shard_answers[i].ok()) {
+    if (!shard_status[i].ok()) {
       if (stats != nullptr) *stats = local;
-      return shard_answers[i].status().WithContext(
-          "shard " + std::to_string(i) + " of " +
-          std::to_string(shards.size()));
+      return shard_status[i].WithContext("shard " + std::to_string(i) +
+                                         " of " +
+                                         std::to_string(shards.size()));
     }
     local.match += shard_stats[i];
-    for (const match::Mapping& mapping : shard_answers[i]->mappings()) {
-      match::Mapping global = mapping;
-      global.schema_index += shards[i].first_schema;
-      merged.Add(std::move(global));
-    }
+    merged.Append(std::move(shard_answers[i]));
   }
   merged.Finalize();
   if (options_.global_top_k > 0) {

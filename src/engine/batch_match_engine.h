@@ -18,27 +18,33 @@
 /// \brief Sharded, multi-threaded matching over a schema repository.
 ///
 /// The matchers process repository schemas independently, so a matching run
-/// parallelizes by splitting the repository into contiguous shards and
-/// running the matcher on each shard from a worker-thread pool. Per-shard
-/// answer sets are merged — schema indices translated back to the global
-/// repository — into one globally ranked answer set, optionally cut to a
-/// global top-k.
+/// parallelizes by splitting the repository into contiguous schema ranges
+/// (shards) and running `Matcher::MatchSchemas` on each range from a
+/// worker-thread pool. Nothing is copied: every worker reads the caller's
+/// repository through one `ObjectiveFunction` built per run, and its
+/// answers already carry repository-wide schema indices. The per-range
+/// answer sets are moved into one globally ranked answer set, optionally
+/// cut to a global top-k.
 ///
-/// Costs reach the workers one of two ways:
+/// Costs reach the workers through that objective one of two ways:
 ///  * **dense** (default): name/type costs are precomputed once in a shared
-///    `SimilarityMatrixPool` (itself built in parallel) and handed to every
-///    worker as immutable views — no similarity is computed twice, and the
-///    merged answers are *identical* (keys and Δ) to a direct
-///    single-threaded `matcher.Match(query, repo, ...)` run for any
-///    shard-safe matcher, for every thread count and shard size;
+///    `SimilarityMatrixPool` (itself built in parallel) attached to the
+///    objective — no similarity is computed twice, and the merged answers
+///    are *identical* (keys and Δ) to a direct single-threaded
+///    `matcher.Match(query, repo, ...)` run for any shard-safe matcher, for
+///    every thread count and shard size;
 ///  * **sparse** (`candidate_limit > 0`): a query-independent
 ///    `index::PreparedRepository` (built once here, or passed in prebuilt
 ///    and amortized across many queries) generates the top-C candidates per
-///    query element, and workers only score those — the non-exhaustive S2
-///    restriction. With C ≥ every schema size the candidate lists are
-///    complete and the answers are again identical to the dense path;
-///    smaller C trades certified-measurable recall for speed
+///    query element, the lists are attached to the objective, and workers
+///    only score those — the non-exhaustive S2 restriction. With C ≥ every
+///    schema size the candidate lists are complete and the answers are
+///    again identical to the dense path; smaller C trades
+///    certified-measurable recall for speed
 ///    (`index::QueryCandidates::SkipLowerBound`).
+///
+/// Either provider answers every cost the matchers read, so the objective's
+/// lazy cache is never written and the workers share it read-only.
 ///
 /// The sparse path has a third, *bound-driven* flavor (`adaptive` set):
 /// instead of one fixed C, every (query element, schema) cell grows its
@@ -56,15 +62,11 @@ struct BatchMatchOptions {
   /// Worker threads (0 ⇒ hardware concurrency). 1 still runs the sharded
   /// code path, inline on the calling thread.
   size_t num_threads = 1;
-  /// Repository schemas per shard; 0 picks a size that gives each thread
-  /// several shards to balance uneven schema costs.
+  /// Repository schemas per shard (one worker's range); 0 picks a size that
+  /// gives each thread several shards to balance uneven schema costs.
   size_t shard_size = 0;
   /// Keep only the globally best k answers after the merge (0 = keep all).
   size_t global_top_k = 0;
-  /// Precompute the shared similarity pool. Disabling falls back to each
-  /// worker's private lazy cache (costs are then computed once per shard
-  /// that touches them instead of once globally).
-  bool share_similarity_matrices = true;
   /// Candidates per (query element, repository schema) the index hands to
   /// matchers. 0 = dense path. When > 0 the dense pool is skipped entirely:
   /// only the generated candidates are ever scored. Matchers that refuse
@@ -128,16 +130,17 @@ struct BatchMatchStats {
   std::vector<uint64_t> shard_candidates_generated;
 };
 
-/// \brief Runs a matcher over repository shards on a worker-thread pool.
+/// \brief Runs a matcher over repository schema ranges on a worker-thread
+/// pool.
 class BatchMatchEngine {
  public:
   explicit BatchMatchEngine(BatchMatchOptions options = {})
       : options_(options) {}
 
   /// \brief Matches `query` against `repo` with `matcher`, sharded across
-  /// worker threads. `match_options.shared_costs` and
-  /// `match_options.candidates` are managed by the engine and must be null.
-  /// On any shard failure the first error (by shard order) is returned.
+  /// worker threads. The inputs are validated once per run
+  /// (`Matcher::ValidateInputs`). On any shard failure the first error (by
+  /// shard order) is returned.
   /// `stats`, when non-null, is written on *every* exit path — on failure
   /// it describes the work completed before the error (callers reusing one
   /// struct across runs never read a stale previous run).

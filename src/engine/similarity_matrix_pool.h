@@ -76,21 +76,4 @@ class SimilarityMatrixPool : public match::NodeCostProvider {
   SimilarityPoolStats stats_;
 };
 
-/// \brief A shard's window into a pool: translates shard-local schema
-/// indices to the pool's global ones. Lives on the batch engine's per-shard
-/// state; cheap to copy.
-class ShardCostView : public match::NodeCostProvider {
- public:
-  ShardCostView(const SimilarityMatrixPool* pool, int32_t first_schema)
-      : pool_(pool), first_schema_(first_schema) {}
-
-  const double* NodeCostMatrix(int32_t schema_index) const override {
-    return pool_->NodeCostMatrix(first_schema_ + schema_index);
-  }
-
- private:
-  const SimilarityMatrixPool* pool_;
-  int32_t first_schema_;
-};
-
 }  // namespace smb::engine

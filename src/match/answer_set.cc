@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 
 #include "common/strings.h"
@@ -57,6 +58,15 @@ std::vector<Mapping> KeepFirstOfEachKey(std::vector<Mapping>& ranked) {
 
 void AnswerSet::Add(Mapping mapping) {
   mappings_.push_back(std::move(mapping));
+  finalized_ = false;
+}
+
+void AnswerSet::Append(AnswerSet&& other) {
+  mappings_.insert(mappings_.end(),
+                   std::make_move_iterator(other.mappings_.begin()),
+                   std::make_move_iterator(other.mappings_.end()));
+  other.mappings_.clear();
+  other.finalized_ = false;
   finalized_ = false;
 }
 

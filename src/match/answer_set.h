@@ -23,6 +23,10 @@ class AnswerSet {
   /// Adds an answer (unsorted until Finalize).
   void Add(Mapping mapping);
 
+  /// Moves every answer of `other` in (unsorted until Finalize), leaving
+  /// `other` empty.
+  void Append(AnswerSet&& other);
+
   /// Sorts by (Δ, key), deduplicates identical keys, freezes the ranking.
   void Finalize();
 

@@ -18,24 +18,21 @@ struct BeamState {
 
 }  // namespace
 
-Result<AnswerSet> BeamMatcher::Match(const schema::Schema& query,
-                                     const schema::SchemaRepository& repo,
-                                     const MatchOptions& options,
-                                     MatchStats* stats) const {
-  SMB_RETURN_IF_ERROR(ValidateInputs(query, repo, options));
+Status BeamMatcher::MatchSchemas(const ObjectiveFunction& objective,
+                                 size_t first, size_t count,
+                                 const MatchOptions& options, AnswerSet* out,
+                                 MatchStats* stats) const {
   if (options_.beam_width == 0) {
     return Status::InvalidArgument("beam_width must be positive");
   }
-  ObjectiveFunction objective(&query, &repo, options.objective,
-                              options.shared_costs, options.candidates);
   const size_t m = objective.query_preorder().size();
   const double budget =
       options.delta_threshold * objective.normalizer() + 1e-12;
+  const CandidateProvider* candidates = objective.candidates();
 
-  AnswerSet answers;
-  for (size_t si = 0; si < repo.schema_count(); ++si) {
+  for (size_t si = first; si < first + count; ++si) {
     const auto schema_index = static_cast<int32_t>(si);
-    const schema::Schema& s = repo.schema(schema_index);
+    const schema::Schema& s = objective.repo().schema(schema_index);
 
     std::vector<BeamState> beam;
     beam.push_back(BeamState{std::vector<schema::NodeId>(),
@@ -45,8 +42,8 @@ Result<AnswerSet> BeamMatcher::Match(const schema::Schema& query,
       // Sparse path: only the indexed candidates are expanded, with their
       // precomputed exact node costs.
       const std::vector<CandidateEntry>* list = nullptr;
-      if (options.candidates != nullptr) {
-        list = options.candidates->CandidatesFor(pos, schema_index);
+      if (candidates != nullptr) {
+        list = candidates->CandidatesFor(pos, schema_index);
       }
       std::vector<BeamState> next;
       for (const BeamState& state : beam) {
@@ -108,12 +105,11 @@ Result<AnswerSet> BeamMatcher::Match(const schema::Schema& query,
       mapping.schema_index = schema_index;
       mapping.targets = state.targets;
       mapping.delta = state.cost / objective.normalizer();
-      answers.Add(std::move(mapping));
+      out->Add(std::move(mapping));
       if (stats != nullptr) ++stats->mappings_emitted;
     }
   }
-  answers.Finalize();
-  return answers;
+  return Status::OK();
 }
 
 }  // namespace smb::match

@@ -32,10 +32,10 @@ class BeamMatcher : public Matcher {
     return "beam-" + std::to_string(options_.beam_width);
   }
 
-  Result<AnswerSet> Match(const schema::Schema& query,
-                          const schema::SchemaRepository& repo,
-                          const MatchOptions& options,
-                          MatchStats* stats = nullptr) const override;
+  /// Rejects a zero `beam_width`.
+  Status MatchSchemas(const ObjectiveFunction& objective, size_t first,
+                      size_t count, const MatchOptions& options,
+                      AnswerSet* out, MatchStats* stats) const override;
 
  private:
   BeamMatcherOptions options_;

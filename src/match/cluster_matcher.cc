@@ -21,25 +21,23 @@ Result<ClusterMatcher> ClusterMatcher::Create(
       options);
 }
 
-Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
-                                        const schema::SchemaRepository& repo,
-                                        const MatchOptions& options,
-                                        MatchStats* stats) const {
-  SMB_RETURN_IF_ERROR(ValidateInputs(query, repo, options));
+Status ClusterMatcher::MatchSchemas(const ObjectiveFunction& objective,
+                                    size_t first, size_t count,
+                                    const MatchOptions& options,
+                                    AnswerSet* out, MatchStats* stats) const {
   if (clustering_ == nullptr) {
     return Status::FailedPrecondition("cluster matcher has no clustering");
   }
-  ObjectiveFunction objective(&query, &repo, options.objective,
-                              options.shared_costs);
+  const schema::Schema& query = objective.query();
   const size_t m = objective.query_preorder().size();
   const double budget =
       options.delta_threshold * objective.normalizer() + 1e-12;
 
   // Candidate elements per query position: members of the top-m clusters
-  // for that element, grouped by schema.
-  // allowed[pos][schema] -> sorted candidate NodeIds.
+  // for that element, grouped by schema of the range.
+  // allowed[pos][schema - first] -> sorted candidate NodeIds.
   std::vector<std::vector<std::vector<schema::NodeId>>> allowed(
-      m, std::vector<std::vector<schema::NodeId>>(repo.schema_count()));
+      m, std::vector<std::vector<schema::NodeId>>(count));
   for (size_t pos = 0; pos < m; ++pos) {
     const schema::SchemaNode& q = query.node(objective.query_preorder()[pos]);
     std::string_view parent_name;
@@ -50,8 +48,10 @@ Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
         q.name, parent_name, options_.top_m_clusters);
     for (int c : clusters) {
       for (const schema::ElementRef& ref : clustering_->ClusterMembers(c)) {
-        allowed[pos][static_cast<size_t>(ref.schema_index)].push_back(
-            ref.node);
+        const auto si = static_cast<size_t>(ref.schema_index);
+        if (si >= first && si < first + count) {
+          allowed[pos][si - first].push_back(ref.node);
+        }
       }
     }
     for (auto& per_schema : allowed[pos]) {
@@ -59,15 +59,14 @@ Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
     }
   }
 
-  AnswerSet answers;
   std::vector<schema::NodeId> targets(m, schema::kInvalidNode);
-  for (size_t si = 0; si < repo.schema_count(); ++si) {
+  for (size_t si = first; si < first + count; ++si) {
     const auto schema_index = static_cast<int32_t>(si);
-    const schema::Schema& s = repo.schema(schema_index);
+    const schema::Schema& s = objective.repo().schema(schema_index);
     // Skip schemas where some query element has no candidate at all.
     bool feasible = true;
     for (size_t pos = 0; pos < m; ++pos) {
-      if (allowed[pos][si].empty()) {
+      if (allowed[pos][si - first].empty()) {
         feasible = false;
         break;
       }
@@ -83,7 +82,7 @@ Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
         mapping.schema_index = schema_index;
         mapping.targets = targets;
         mapping.delta = cost_so_far / objective.normalizer();
-        answers.Add(std::move(mapping));
+        out->Add(std::move(mapping));
         if (stats != nullptr) ++stats->mappings_emitted;
         return;
       }
@@ -92,7 +91,7 @@ Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
       if (parent_pos != ObjectiveFunction::kNoParent) {
         parent_target = targets[parent_pos];
       }
-      for (schema::NodeId target : allowed[pos][si]) {
+      for (schema::NodeId target : allowed[pos][si - first]) {
         if (options.injective && used[static_cast<size_t>(target)]) continue;
         if (stats != nullptr) ++stats->states_explored;
         double cost = cost_so_far + objective.AssignCost(pos, schema_index,
@@ -110,8 +109,7 @@ Result<AnswerSet> ClusterMatcher::Match(const schema::Schema& query,
     };
     recurse(recurse, 0, 0.0);
   }
-  answers.Finalize();
-  return answers;
+  return Status::OK();
 }
 
 }  // namespace smb::match

@@ -47,14 +47,15 @@ class ClusterMatcher : public Matcher {
     return "cluster-top" + std::to_string(options_.top_m_clusters);
   }
 
-  /// The clustering addresses elements by global schema index, so the
-  /// matcher cannot run against repository shards.
+  /// Each run ranks the clusters for every query element over the whole
+  /// clustering, so the engine runs it once over the whole repository.
   bool SupportsSharding() const override { return false; }
 
-  Result<AnswerSet> Match(const schema::Schema& query,
-                          const schema::SchemaRepository& repo,
-                          const MatchOptions& options,
-                          MatchStats* stats = nullptr) const override;
+  /// Ignores a `CandidateProvider` on `objective`: the clusters are the
+  /// candidate scheme. Fails without a clustering.
+  Status MatchSchemas(const ObjectiveFunction& objective, size_t first,
+                      size_t count, const MatchOptions& options,
+                      AnswerSet* out, MatchStats* stats) const override;
 
   const cluster::ElementClustering& clustering() const { return *clustering_; }
 

@@ -10,29 +10,6 @@
 
 namespace smb::match {
 
-Status Matcher::ValidateInputs(const schema::Schema& query,
-                               const schema::SchemaRepository& repo,
-                               const MatchOptions& options) {
-  if (query.empty()) {
-    return Status::InvalidArgument("query schema is empty");
-  }
-  if (query.size() > options.max_query_elements) {
-    return Status::InvalidArgument(
-        "query has " + std::to_string(query.size()) +
-        " elements, above the configured maximum of " +
-        std::to_string(options.max_query_elements) +
-        " (the search space is exponential in the query size)");
-  }
-  if (repo.schema_count() == 0) {
-    return Status::InvalidArgument("repository is empty");
-  }
-  if (options.delta_threshold < 0.0) {
-    return Status::InvalidArgument("delta_threshold must be non-negative");
-  }
-  SMB_RETURN_IF_ERROR(query.Validate());
-  return Status::OK();
-}
-
 namespace {
 
 /// Extra slack of the lookahead tests over the plain budget (see the file
@@ -180,21 +157,17 @@ class SchemaEnumerator {
 
 }  // namespace
 
-Result<AnswerSet> ExhaustiveMatcher::Match(const schema::Schema& query,
-                                           const schema::SchemaRepository& repo,
-                                           const MatchOptions& options,
-                                           MatchStats* stats) const {
-  SMB_RETURN_IF_ERROR(ValidateInputs(query, repo, options));
-  ObjectiveFunction objective(&query, &repo, options.objective,
-                              options.shared_costs, options.candidates);
-  AnswerSet answers;
-  for (size_t s = 0; s < repo.schema_count(); ++s) {
+Status ExhaustiveMatcher::MatchSchemas(const ObjectiveFunction& objective,
+                                       size_t first, size_t count,
+                                       const MatchOptions& options,
+                                       AnswerSet* out,
+                                       MatchStats* stats) const {
+  for (size_t s = first; s < first + count; ++s) {
     SchemaEnumerator enumerator(objective, static_cast<int32_t>(s), options,
-                                &answers, stats);
+                                out, stats);
     enumerator.Run();
   }
-  answers.Finalize();
-  return answers;
+  return Status::OK();
 }
 
 }  // namespace smb::match

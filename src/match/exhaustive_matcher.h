@@ -39,10 +39,9 @@ class ExhaustiveMatcher : public Matcher {
  public:
   std::string name() const override { return "exhaustive"; }
 
-  Result<AnswerSet> Match(const schema::Schema& query,
-                          const schema::SchemaRepository& repo,
-                          const MatchOptions& options,
-                          MatchStats* stats = nullptr) const override;
+  Status MatchSchemas(const ObjectiveFunction& objective, size_t first,
+                      size_t count, const MatchOptions& options,
+                      AnswerSet* out, MatchStats* stats) const override;
 };
 
 }  // namespace smb::match

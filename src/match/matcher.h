@@ -27,19 +27,6 @@ struct MatchOptions {
   /// Upper bound on the query size the enumerating matchers accept
   /// (the search space is |schema|^m per repository schema).
   size_t max_query_elements = 12;
-  /// Optional precomputed node-cost matrices (engine::SimilarityMatrixPool).
-  /// When set, matchers read name+type costs from it instead of filling the
-  /// objective's lazy per-instance cache; the provider must outlive the
-  /// Match call and must index schemas the same way as `repo`.
-  const NodeCostProvider* shared_costs = nullptr;
-  /// Optional sparse candidate lists (index::QueryCandidates). When set, the
-  /// enumerating matchers (exhaustive, beam, topk) only consider the listed
-  /// targets per query position — the non-exhaustive S2 restriction — and
-  /// read the exact node costs stored with the candidates instead of going
-  /// through `shared_costs` or the lazy cache. Matchers with their own
-  /// candidate scheme (cluster) ignore it. The provider must outlive the
-  /// Match call and must index schemas the same way as `repo`.
-  const CandidateProvider* candidates = nullptr;
 };
 
 /// \brief Counters describing the work a matcher performed; the currency of
@@ -76,6 +63,11 @@ struct MatchStats {
 };
 
 /// \brief A schema matching system S: query × repository → ranked answers.
+///
+/// A system implements one entry point, `MatchSchemas`, over a contiguous
+/// range of repository schemas. `Match` runs it over the whole repository;
+/// the batch engine runs it over disjoint ranges on worker threads, all
+/// reading one shared objective.
 class Matcher {
  public:
   virtual ~Matcher() = default;
@@ -83,24 +75,42 @@ class Matcher {
   /// Short system name for reports ("exhaustive", "beam-8", ...).
   virtual std::string name() const = 0;
 
-  /// \brief True when Match treats repository schemas independently, so the
-  /// batch engine may split the repository into shards and run them on
-  /// worker threads. Matchers that consult cross-schema state indexed by
-  /// global schema position (e.g. a prebuilt clustering) must return false;
-  /// the engine then falls back to one single-threaded whole-repository run.
+  /// \brief True when the answers in one schema do not depend on which
+  /// other schemas the run covers, so the batch engine may split the
+  /// repository into ranges and run them on worker threads. Matchers whose
+  /// per-run setup spans the whole repository (e.g. ranking clusters of a
+  /// prebuilt clustering) return false; the engine then falls back to one
+  /// single-threaded whole-repository `Match`.
   virtual bool SupportsSharding() const { return true; }
 
   /// \brief Solves matching problem Q: returns the ranked answer set of all
   /// mappings the system finds with Δ ≤ `options.delta_threshold`.
   ///
-  /// `stats`, when non-null, accumulates work counters.
-  virtual Result<AnswerSet> Match(const schema::Schema& query,
-                                  const schema::SchemaRepository& repo,
-                                  const MatchOptions& options,
-                                  MatchStats* stats = nullptr) const = 0;
+  /// Validates the inputs, builds an objective over `query` and `repo`
+  /// (lazy node-cost cache), runs `MatchSchemas` over every schema and
+  /// finalizes the ranking. `stats`, when non-null, accumulates work
+  /// counters.
+  Result<AnswerSet> Match(const schema::Schema& query,
+                          const schema::SchemaRepository& repo,
+                          const MatchOptions& options,
+                          MatchStats* stats = nullptr) const;
 
- protected:
-  /// Shared validation of query/repo/options.
+  /// \brief Appends to `out` (unfinalized) the answers the system finds in
+  /// schemas `[first, first + count)` of `objective.repo()`, with
+  /// repository-wide schema indices.
+  ///
+  /// Costs come only from `objective` (its candidate lists, its pool or its
+  /// lazy cache). The inputs must have passed `ValidateInputs` and the range
+  /// must lie inside the repository; errors concern the matcher's own
+  /// options. Disjoint ranges may run concurrently over an objective with a
+  /// provider attached. `stats`, when non-null, accumulates work counters;
+  /// those of a partition of `[0, N)` sum to the whole range's.
+  virtual Status MatchSchemas(const ObjectiveFunction& objective, size_t first,
+                              size_t count, const MatchOptions& options,
+                              AnswerSet* out, MatchStats* stats) const = 0;
+
+  /// Shared validation of query/repo/options: what `Match` checks before
+  /// any schema is visited, and what a range caller checks once per run.
   static Status ValidateInputs(const schema::Schema& query,
                                const schema::SchemaRepository& repo,
                                const MatchOptions& options);

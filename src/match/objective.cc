@@ -77,12 +77,12 @@ NodeCostCutoff ComputeNodeCostWithCutoff(sim::BlockScorer& scorer,
 ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
                                      const schema::SchemaRepository* repo,
                                      ObjectiveOptions options,
-                                     const NodeCostProvider* shared_costs,
+                                     const NodeCostProvider* node_costs,
                                      const CandidateProvider* candidates)
     : query_(query),
       repo_(repo),
       options_(std::move(options)),
-      shared_costs_(shared_costs),
+      node_costs_(node_costs),
       candidates_(candidates) {
   assert(query_ != nullptr && repo_ != nullptr);
   preorder_ = query_->PreOrder();
@@ -110,8 +110,8 @@ ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
 double ObjectiveFunction::NodeCost(size_t pos, int32_t schema_index,
                                    schema::NodeId target) const {
   const schema::Schema& s = repo_->schema(schema_index);
-  if (shared_costs_ != nullptr) {
-    if (const double* matrix = shared_costs_->NodeCostMatrix(schema_index)) {
+  if (node_costs_ != nullptr) {
+    if (const double* matrix = node_costs_->NodeCostMatrix(schema_index)) {
       return matrix[pos * s.size() + static_cast<size_t>(target)];
     }
   }

@@ -181,19 +181,24 @@ class CandidateProvider {
 
 /// \brief Evaluates Δ for mappings of one query schema into one repository.
 ///
-/// Name costs come from an attached `NodeCostProvider` when one is given
-/// (shared, immutable, thread-safe); otherwise they are cached lazily per
-/// (query element, repository element) inside the instance, which is *not*
-/// thread-safe. Matchers running under the batch engine always receive a
-/// provider.
+/// Name costs come from an attached `NodeCostProvider` when one is given;
+/// otherwise they are cached lazily per (query element, repository element)
+/// inside the instance. Only `NodeCost` (and `AssignCost` / `Delta`, which
+/// call it) writes that cache. With a `NodeCostProvider` attached, or with a
+/// `CandidateProvider` attached and node costs read only from its lists (as
+/// the enumerating matchers do), the instance is never written after
+/// construction and is safe for concurrent reads: the batch engine shares
+/// one per run across its worker threads. Without either, it is *not*
+/// thread-safe.
 class ObjectiveFunction {
  public:
-  /// `query`, `repo`, `shared_costs` and `candidates` (when non-null) must
-  /// outlive the objective.
+  /// `query`, `repo`, `node_costs` and `candidates` (when non-null) must
+  /// outlive the objective, and the providers must index schemas the way
+  /// `repo` does.
   ObjectiveFunction(const schema::Schema* query,
                     const schema::SchemaRepository* repo,
                     ObjectiveOptions options = {},
-                    const NodeCostProvider* shared_costs = nullptr,
+                    const NodeCostProvider* node_costs = nullptr,
                     const CandidateProvider* candidates = nullptr);
 
   /// Query elements in pre-order (position 0 is the root).
@@ -252,7 +257,7 @@ class ObjectiveFunction {
   const schema::Schema* query_;
   const schema::SchemaRepository* repo_;
   ObjectiveOptions options_;
-  const NodeCostProvider* shared_costs_ = nullptr;
+  const NodeCostProvider* node_costs_ = nullptr;
   const CandidateProvider* candidates_ = nullptr;
   std::vector<schema::NodeId> preorder_;
   std::vector<size_t> parent_position_;

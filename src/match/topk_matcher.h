@@ -37,10 +37,10 @@ class TopKMatcher : public Matcher {
     return "topk-" + std::to_string(options_.k_per_schema);
   }
 
-  Result<AnswerSet> Match(const schema::Schema& query,
-                          const schema::SchemaRepository& repo,
-                          const MatchOptions& options,
-                          MatchStats* stats = nullptr) const override;
+  /// Rejects a zero `k_per_schema`.
+  Status MatchSchemas(const ObjectiveFunction& objective, size_t first,
+                      size_t count, const MatchOptions& options,
+                      AnswerSet* out, MatchStats* stats) const override;
 
  private:
   TopKMatcherOptions options_;

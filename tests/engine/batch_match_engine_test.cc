@@ -82,24 +82,6 @@ TEST(BatchMatchEngineTest, DeterministicAcrossThreadCountsOnSynthetic) {
   }
 }
 
-TEST(BatchMatchEngineTest, SharedMatricesOffStillIdentical) {
-  synth::SyntheticCollection collection = MakeLargeCollection();
-  match::MatchOptions mopts;
-  match::TopKMatcher matcher(match::TopKMatcherOptions{5, 100000});
-  auto reference =
-      matcher.Match(collection.query, collection.repository, mopts);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-
-  BatchMatchOptions bopts;
-  bopts.num_threads = 4;
-  bopts.share_similarity_matrices = false;
-  BatchMatchEngine engine(bopts);
-  auto batched =
-      engine.Run(matcher, collection.query, collection.repository, mopts);
-  ASSERT_TRUE(batched.ok()) << batched.status();
-  ExpectSameAnswers(*batched, *reference);
-}
-
 TEST(BatchMatchEngineTest, GlobalTopKMatchesDirectTopN) {
   synth::SyntheticCollection collection = MakeLargeCollection();
   match::MatchOptions mopts;
@@ -175,7 +157,10 @@ TEST(BatchMatchEngineTest, PropagatesMatcherErrors) {
   schema::SchemaRepository repo = MakeRepo();
   match::MatchOptions mopts;
   match::ExhaustiveMatcher matcher;
-  BatchMatchEngine engine(BatchMatchOptions{4, 1, 0, true});
+  BatchMatchOptions bopts;
+  bopts.num_threads = 4;
+  bopts.shard_size = 1;
+  BatchMatchEngine engine(bopts);
   auto batched = engine.Run(matcher, query, repo, mopts);
   ASSERT_FALSE(batched.ok());
   EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument);
@@ -193,22 +178,8 @@ TEST(BatchMatchEngineTest, EmptyRepositoryErrorsLikeDirectRun) {
   EXPECT_EQ(batched.status().code(), direct.status().code());
 }
 
-TEST(BatchMatchEngineTest, RejectsPreAttachedProvider) {
-  schema::Schema query = MakeQuery();
-  schema::SchemaRepository repo = MakeRepo();
-  auto pool = SimilarityMatrixPool::Build(query, repo, {});
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  match::MatchOptions mopts;
-  mopts.shared_costs = &*pool;
-  match::ExhaustiveMatcher matcher;
-  BatchMatchEngine engine;
-  auto batched = engine.Run(matcher, query, repo, mopts);
-  ASSERT_FALSE(batched.ok());
-  EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(BatchMatchEngineTest, MatcherWithProviderAgreesWithoutProvider) {
-  // A matcher run with MatchOptions::shared_costs attached directly (no
+  // A matcher run over an objective with the pool attached directly (no
   // engine) must produce the same answers as the plain lazy-cache run.
   schema::Schema query = MakeQuery();
   schema::SchemaRepository repo = MakeRepo();
@@ -219,9 +190,8 @@ TEST(BatchMatchEngineTest, MatcherWithProviderAgreesWithoutProvider) {
   match::ExhaustiveMatcher matcher;
   auto lazy = matcher.Match(query, repo, mopts);
   ASSERT_TRUE(lazy.ok()) << lazy.status();
-  match::MatchOptions with_pool = mopts;
-  with_pool.shared_costs = &*pool;
-  auto shared = matcher.Match(query, repo, with_pool);
+  match::ObjectiveFunction with_pool(&query, &repo, mopts.objective, &*pool);
+  auto shared = testing::MatchWithObjective(matcher, with_pool, mopts);
   ASSERT_TRUE(shared.ok()) << shared.status();
   ExpectSameAnswers(*shared, *lazy);
 }

@@ -142,14 +142,16 @@ TEST(EngineEdgeCasesTest, ZeroCandidateCellsYieldNoAnswersAndCleanStats) {
   schema::SchemaRepository repo = MakeRepo();
   EmptyCandidateProvider provider;
   match::MatchOptions options;
-  options.candidates = &provider;
+  match::ObjectiveFunction objective(&query, &repo, options.objective,
+                                     nullptr, &provider);
   match::ExhaustiveMatcher exhaustive;
   match::TopKMatcher topk(match::TopKMatcherOptions{5, 0});
   for (const match::Matcher* matcher :
        {static_cast<const match::Matcher*>(&exhaustive),
         static_cast<const match::Matcher*>(&topk)}) {
     match::MatchStats stats;
-    auto result = matcher->Match(query, repo, options, &stats);
+    auto result =
+        testing::MatchWithObjective(*matcher, objective, options, &stats);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->empty());
     EXPECT_EQ(stats.mappings_emitted, 0u);

@@ -131,15 +131,5 @@ TEST(SimilarityMatrixPoolTest, RejectsEmptyQuery) {
   EXPECT_EQ(pool.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ShardCostViewTest, TranslatesLocalIndicesToGlobal) {
-  schema::Schema query = MakeQuery();
-  schema::SchemaRepository repo = MakeRepo();
-  auto pool = SimilarityMatrixPool::Build(query, repo, {});
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  ShardCostView view(&*pool, /*first_schema=*/1);
-  EXPECT_EQ(view.NodeCostMatrix(0), pool->NodeCostMatrix(1));
-  EXPECT_EQ(view.NodeCostMatrix(1), pool->NodeCostMatrix(2));
-}
-
 }  // namespace
 }  // namespace smb::engine

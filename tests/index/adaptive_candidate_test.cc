@@ -13,6 +13,7 @@
 #include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
+#include "../testing/fixtures.h"
 
 /// Bound-driven adaptive candidate generation
 /// (`index::AdaptiveCandidatePolicy` / `GenerateAdaptive`).
@@ -159,9 +160,11 @@ TEST(AdaptiveCandidateTest, CertifiedSchemasKeepDenseAnswersExactly) {
       ASSERT_TRUE(candidates.ok()) << candidates.status();
       EXPECT_GE(stats.achieved_completeness, 0.8);
 
-      match::MatchOptions sparse_options = setup.options;
-      sparse_options.candidates = &*candidates;
-      auto sparse = matcher->Match(setup.query, setup.repo, sparse_options);
+      match::ObjectiveFunction sparse_objective(
+          &setup.query, &setup.repo, setup.options.objective, nullptr,
+          &*candidates);
+      auto sparse = smb::testing::MatchWithObjective(
+          *matcher, sparse_objective, setup.options);
       ASSERT_TRUE(sparse.ok()) << sparse.status();
 
       for (size_t si = 0; si < setup.repo.schema_count(); ++si) {

@@ -8,6 +8,7 @@
 #include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
+#include "../testing/fixtures.h"
 
 /// Sparse candidate matching vs the dense path.
 ///
@@ -74,10 +75,11 @@ TEST_P(SparseDenseEquivalenceTest, FullLimitReproducesDenseAnswers) {
       generator.Generate(setup.query, setup.max_schema_size + 3);
   ASSERT_TRUE(candidates.ok()) << candidates.status();
 
-  match::MatchOptions sparse_options = setup.options;
-  sparse_options.candidates = &*candidates;
-  auto sparse =
-      (*matcher)->Match(setup.query, setup.repo, sparse_options);
+  match::ObjectiveFunction sparse_objective(&setup.query, &setup.repo,
+                                            setup.options.objective, nullptr,
+                                            &*candidates);
+  auto sparse = smb::testing::MatchWithObjective(**matcher, sparse_objective,
+                                                 setup.options);
   ASSERT_TRUE(sparse.ok()) << sparse.status();
   ExpectIdentical(*sparse, *dense, GetParam());
 }
@@ -174,7 +176,7 @@ TEST_P(SparseDenseEquivalenceTest, NonInjectiveFullLimitReproducesDense) {
 INSTANTIATE_TEST_SUITE_P(Matchers, SparseDenseEquivalenceTest,
                          ::testing::Values("exhaustive", "beam", "topk"));
 
-TEST(SparseEngineTest, RejectsUserSuppliedCandidatesAndForeignIndex) {
+TEST(SparseEngineTest, RejectsForeignIndex) {
   EquivSetup setup = MakeSetup(6, 15);
   auto matcher = match::MakeMatcher("exhaustive", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
@@ -182,15 +184,6 @@ TEST(SparseEngineTest, RejectsUserSuppliedCandidatesAndForeignIndex) {
   auto prepared =
       PreparedRepository::Build(setup.repo, setup.options.objective.name);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  CandidateGenerator generator(&*prepared, setup.options.objective);
-  auto candidates = generator.Generate(setup.query, 4);
-  ASSERT_TRUE(candidates.ok()) << candidates.status();
-
-  // MatchOptions::candidates is engine-managed.
-  match::MatchOptions bad = setup.options;
-  bad.candidates = &*candidates;
-  engine::BatchMatchEngine engine;
-  EXPECT_FALSE(engine.Run(**matcher, setup.query, setup.repo, bad).ok());
 
   // A prebuilt index over a different repository object is rejected.
   EquivSetup other = MakeSetup(6, 16);

@@ -12,11 +12,11 @@
 /// \brief Test-side reference enumeration for the exhaustive matcher.
 ///
 /// A plain depth-first search over the targets the matcher may take: every
-/// node of the schema, or the candidate list when `options.candidates`
-/// lists the cell. It adds the contributions in the matcher's order and
-/// divides by the normalizer the same way, so its Δ values are bit-equal
-/// to the matcher's. A complete mapping is kept when its unnormalized sum
-/// Σ ≤ δ·normalizer + 1e-12, the matcher's own budget.
+/// node of the schema, or the candidate list when a `CandidateProvider`
+/// attached to the objective lists the cell. It adds the contributions in
+/// the matcher's order and divides by the normalizer the same way, so its
+/// Δ values are bit-equal to the matcher's. A complete mapping is kept when
+/// its unnormalized sum Σ ≤ δ·normalizer + 1e-12, the matcher's own budget.
 ///
 /// `OraclePrune::kNone` prunes nothing: the definition of S1's answer set.
 /// `OraclePrune::kBudget` cuts a partial assignment once its Σ so far is
@@ -109,24 +109,31 @@ class OracleSearch {
 
 }  // namespace oracle_internal
 
-/// \brief S1's answer set by plain enumeration (see the file comment).
-/// Reads costs through `options.shared_costs` / `options.candidates` like
-/// the matchers do. `stats`, when non-null, accumulates work counters.
+/// \brief S1's answer set by plain enumeration (see the file comment) over
+/// every schema of `objective.repo()`. Reads costs through the objective
+/// like the matchers do. `stats`, when non-null, accumulates work counters.
+inline AnswerSet OracleMatch(const ObjectiveFunction& objective,
+                             const MatchOptions& options,
+                             OraclePrune prune = OraclePrune::kNone,
+                             MatchStats* stats = nullptr) {
+  AnswerSet answers;
+  oracle_internal::OracleSearch search(objective, options, prune, &answers,
+                                       stats);
+  for (size_t s = 0; s < objective.repo().schema_count(); ++s) {
+    search.RunSchema(static_cast<int32_t>(s));
+  }
+  answers.Finalize();
+  return answers;
+}
+
+/// \brief The same over the lazy node-cost cache of a fresh objective.
 inline AnswerSet OracleMatch(const schema::Schema& query,
                              const schema::SchemaRepository& repo,
                              const MatchOptions& options,
                              OraclePrune prune = OraclePrune::kNone,
                              MatchStats* stats = nullptr) {
-  ObjectiveFunction objective(&query, &repo, options.objective,
-                              options.shared_costs, options.candidates);
-  AnswerSet answers;
-  oracle_internal::OracleSearch search(objective, options, prune, &answers,
-                                       stats);
-  for (size_t s = 0; s < repo.schema_count(); ++s) {
-    search.RunSchema(static_cast<int32_t>(s));
-  }
-  answers.Finalize();
-  return answers;
+  return OracleMatch(ObjectiveFunction(&query, &repo, options.objective),
+                     options, prune, stats);
 }
 
 }  // namespace smb::match

@@ -22,6 +22,7 @@
 #include "match/exhaustive_matcher.h"
 #include "synth/generator.h"
 #include "synth/stream.h"
+#include "../testing/fixtures.h"
 
 namespace smb::match {
 namespace {
@@ -92,26 +93,30 @@ AnswerSet ExpectMatchesOracle(const Problem& problem,
                               const MatchOptions& options, CostPath path,
                               const std::string& label) {
   ExhaustiveMatcher matcher;
-  MatchOptions run = options;
   Result<AnswerSet> actual = Status::Internal("not run");
   std::optional<engine::SimilarityMatrixPool> pool;
   std::optional<index::QueryCandidates> candidates;
   index::CandidateGenerator generator(&prepared, options.objective);
+  // The costs of `path`, attached to an objective the matcher (directly)
+  // and the oracle read alike.
+  auto objective = [&] {
+    return ObjectiveFunction(&problem.query, &problem.repo, options.objective,
+                             pool ? &*pool : nullptr,
+                             candidates ? &*candidates : nullptr);
+  };
   switch (path) {
     case CostPath::kDensePool:
       pool.emplace(engine::SimilarityMatrixPool::Build(
                        problem.query, problem.repo, options.objective)
                        .value());
-      run.shared_costs = &*pool;
-      actual = matcher.Match(problem.query, problem.repo, run);
+      actual = smb::testing::MatchWithObjective(matcher, objective(), options);
       break;
     case CostPath::kDenseLazy:
-      actual = matcher.Match(problem.query, problem.repo, run);
+      actual = matcher.Match(problem.query, problem.repo, options);
       break;
     case CostPath::kSparseFixed:
       candidates.emplace(generator.Generate(problem.query, 4).value());
-      run.candidates = &*candidates;
-      actual = matcher.Match(problem.query, problem.repo, run);
+      actual = smb::testing::MatchWithObjective(matcher, objective(), options);
       break;
     case CostPath::kAdaptiveEngine: {
       engine::BatchMatchOptions bopts;
@@ -125,14 +130,12 @@ AnswerSet ExpectMatchesOracle(const Problem& problem,
                              .GenerateAdaptive(problem.query, *bopts.adaptive,
                                                options.delta_threshold)
                              .value());
-      run.candidates = &*candidates;
       break;
     }
   }
   EXPECT_TRUE(actual.ok()) << label << ": " << actual.status();
   if (!actual.ok()) return AnswerSet();
-  ExpectBitIdentical(*actual, OracleMatch(problem.query, problem.repo, run),
-                     label);
+  ExpectBitIdentical(*actual, OracleMatch(objective(), options), label);
   return std::move(*actual);
 }
 
@@ -255,10 +258,10 @@ TEST(ExhaustiveLookaheadTest, ColdBoundStreamExploresAThirdOfTheBudgetOnlyDfs) {
     auto candidates = generator.GenerateAdaptive(*query, *bopts.adaptive,
                                                  options.delta_threshold);
     ASSERT_TRUE(candidates.ok()) << candidates.status();
-    MatchOptions run = options;
-    run.candidates = &*candidates;
+    const ObjectiveFunction objective(&*query, &*repo, options.objective,
+                                      nullptr, &*candidates);
     AnswerSet reference =
-        OracleMatch(*query, *repo, run, OraclePrune::kBudget, &budget_only);
+        OracleMatch(objective, options, OraclePrune::kBudget, &budget_only);
     ExpectBitIdentical(*served, reference, "query " + std::to_string(q));
   }
   ASSERT_GT(lookahead.mappings_emitted, 0u);

@@ -2,11 +2,16 @@
 
 #include <string>
 
+#include "common/result.h"
+#include "match/answer_set.h"
+#include "match/matcher.h"
+#include "match/objective.h"
 #include "schema/repository.h"
 #include "schema/schema.h"
 
 /// \file fixtures.h
-/// \brief Small hand-built schemas shared by matcher and eval tests.
+/// \brief Small hand-built schemas shared by matcher and eval tests, and a
+/// whole-repository run over a caller-built objective.
 
 namespace smb::testing {
 
@@ -73,6 +78,22 @@ inline schema::SchemaRepository MakeRepo() {
   repo.Add(MakeHostWithSynonymCopy()).value();
   repo.Add(MakeDistractor("host-distractor")).value();
   return repo;
+}
+
+/// `Matcher::Match` over the costs of a caller-built objective (an attached
+/// pool or candidate lists): validates, runs `MatchSchemas` over every
+/// schema of `objective.repo()` and finalizes.
+inline Result<match::AnswerSet> MatchWithObjective(
+    const match::Matcher& matcher, const match::ObjectiveFunction& objective,
+    const match::MatchOptions& options, match::MatchStats* stats = nullptr) {
+  SMB_RETURN_IF_ERROR(match::Matcher::ValidateInputs(
+      objective.query(), objective.repo(), options));
+  match::AnswerSet answers;
+  SMB_RETURN_IF_ERROR(matcher.MatchSchemas(objective, 0,
+                                           objective.repo().schema_count(),
+                                           options, &answers, stats));
+  answers.Finalize();
+  return answers;
 }
 
 }  // namespace smb::testing

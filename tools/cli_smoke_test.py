@@ -8,14 +8,16 @@ that every front end serves the same S2:
 
 * `serve --requests` twice: the first run builds and saves the snapshot,
   the second loads it, hits the cache and hot-reloads it;
-* the served answers are byte-identical to `match --candidates=8`;
+* the served answers are byte-identical to `match --candidates=8`, which
+  is itself byte-identical with `--shard-size=5`;
 * `serve --listen` (bound-driven, target 0.9) answers `client
   --connections=4` byte-identically to `match --target-bound=0.9`;
 * `loadtest --trace` in-process and against the live server write
   byte-identical answer files, and the in-process run saves the snapshot
   it had to build;
-* `serve` without `--listen` or `--requests`, and a shed floor without a
-  target, are rejected.
+* `serve` without `--listen` or `--requests`, a shed floor without a
+  target, and a dense `match --shard-size` without `--threads` are
+  rejected.
 
 Exit status 0 on success, 1 with a diagnostic on the first failure.
 """
@@ -79,6 +81,10 @@ def offline_serve(binary, tmp, col, snapshot):
         "--candidates=8", f"--out={tmp}/inmem.csv")
     for name in ("build", "load", "cached", "reload"):
         same_file(f"{tmp}/serve-{name}.csv", f"{tmp}/inmem.csv")
+    # A sparse run goes through the engine, so it takes a shard size too.
+    run(binary, "match", f"--repo={col}", f"--query={col}/query.txt",
+        "--candidates=8", "--shard-size=5", f"--out={tmp}/inmem-shards.csv")
+    same_file(f"{tmp}/inmem-shards.csv", f"{tmp}/inmem.csv")
 
 
 def start_server(binary, tmp, col):
@@ -146,6 +152,14 @@ def rejections(binary, tmp, col):
               f"--repo={col}", "--min-target-bound=0.5", expect_ok=False)
     expect("INVALID_ARGUMENT" in out and "--min-target-bound" in out,
            "loadtest --trace accepted a floor without a target", out)
+    out = run(binary, "match", f"--repo={col}", f"--query={col}/query.txt",
+              "--shard-size=5", f"--out={tmp}/dense-shards.csv",
+              expect_ok=False)
+    expect("INVALID_ARGUMENT" in out and
+           all(flag in out for flag in
+               ("--threads", "--candidates", "--target-bound")),
+           "dense match --shard-size without --threads was not rejected",
+           out)
 
 
 def main():

@@ -92,7 +92,8 @@ commands:
             [--threads=N] shard the repository across N worker threads with
             a shared similarity-matrix pool (0 = all cores; answers are
             identical to a single-threaded run)
-            [--shard-size=N] schemas per shard (engine runs only)
+            [--shard-size=N] schemas per shard on engine runs (--threads,
+            --candidates or --target-bound)
             [--top=N] keep only the globally best N answers
             [--candidates=C] sparse S2 run: matchers only see the index's
             top-C candidates per (query element, schema) cell
@@ -303,9 +304,13 @@ int CmdMatch(const CommandLine& cl) {
   dense.engine_options.candidate_limit = 0;
   auto spec = serve::ParseServiceSpec(cl, dense);
   if (!spec.ok()) return Fail(spec.status());
-  if (cl.Has("shard-size") && !cl.Has("threads")) {
+  const engine::BatchMatchOptions& bopts = spec->engine_options;
+  const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
+  const bool use_engine = cl.Has("threads") || sparse;
+  if (cl.Has("shard-size") && !use_engine) {
     return Fail(Status::InvalidArgument(
-        "--shard-size only applies to engine runs; add --threads=N"));
+        "--shard-size only applies to engine runs; add --threads=N, "
+        "--candidates=C or --target-bound=B"));
   }
   auto shard_size = cl.GetUint("shard-size", 0);
   if (!shard_size.ok()) return Fail(shard_size.status());
@@ -322,11 +327,9 @@ int CmdMatch(const CommandLine& cl) {
       match::MakeMatcher(spec->matcher_kind, *repo, spec->factory_options);
   if (!matcher.ok()) return Fail(matcher.status());
 
-  const engine::BatchMatchOptions& bopts = spec->engine_options;
-  const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
   Result<match::AnswerSet> answers = Status::Internal("unreachable");
   match::MatchStats stats;
-  if (cl.Has("threads") || sparse) {
+  if (use_engine) {
     // Run through the batch engine: repository split across a worker pool;
     // costs come from the shared dense pool, or — with --candidates /
     // --target-bound — from the sparse repository index.
