@@ -22,18 +22,24 @@
 /// cheapest exact node costs with threshold-aware pruning, emitting the
 /// admissible skip-bound). `ScoreEveryCell` runs retrieval + one scoring
 /// pass per cell at a per-cell limit: `Generate` is that pass at one
-/// uniform limit. `GenerateAdaptive` either plans its escalation rounds
+/// uniform limit. There a cell whose limit reaches its schema size skips
+/// the scoring pass: it is gathered from its position's name row (one
+/// batched similarity per distinct name of the position's full-coverage
+/// cells) and sorted. `GenerateAdaptive` either plans its escalation rounds
 /// from the schema sizes and then runs that same pass once (when only full
 /// coverage can certify at the run's Δ), or keeps the retrieval state
 /// alive and re-scores only the cells whose bound has not yet certified
 /// the caller's completeness target, at geometrically growing limits. A
 /// re-scored cell reuses the exact costs of its current entries instead of
 /// evaluating them again. Within one query position each distinct element
-/// name is scored once: the engine memoizes the name similarity by the
-/// index's name id and adds each element's type penalty on top. With more
-/// than one thread every pass runs
-/// through `ParallelCellScorer`, which commits scored blocks in cell order
-/// so the output matches the serial loop exactly.
+/// name is scored once per engine: full costs read the name row, else the
+/// engine's memo of the name similarity by the index's name id, and add
+/// each element's type penalty on top. With more than one thread every
+/// scoring pass runs through `ParallelCellScorer`, which commits scored
+/// blocks in cell order so the output matches the serial loop exactly;
+/// rows and gathers write disjoint entries and cells, in any order. The
+/// single pass of `ScoreEveryCell` takes that route for every thread
+/// count; the round loop has a plain serial version for one thread.
 
 namespace smb::index {
 
@@ -72,6 +78,10 @@ struct WandTerm {
   const TrigramPosting* hint = nullptr;
 };
 
+/// Marks a name id that is not in a position's name row (similarities are
+/// in [0, 1]).
+constexpr double kNotInRow = -1.0;
+
 /// Retrieval results of one query position, valid for every schema and —
 /// in adaptive generation — every escalation round.
 struct PositionRetrieval {
@@ -88,6 +98,11 @@ struct PositionRetrieval {
   /// serial loops score through these, so their hints carry across cells.
   std::vector<WandTerm> wand_terms;
   const std::vector<uint32_t>* type_bucket = nullptr;
+  /// The position's name row (`ScoreEveryCell` only; empty in the round
+  /// loop): by name id, the exact similarity of the query name to every
+  /// name of the position's full-coverage cells, `kNotInRow` elsewhere.
+  /// Filled before any cell of the position is scored, then read-only.
+  std::vector<double> name_row;
 };
 
 /// One posting-list cursor of the per-cell WAND traversal, restricted to
@@ -122,7 +137,8 @@ struct CellWork {
   /// cost from the cell's previous entries or was never reached.
   size_t computed = 0;
   /// Full name similarities computed (`BlockScorer::Score`); the rest of
-  /// the full costs took the position's memoized score of the same name.
+  /// the full costs took the position's name row or the engine's memoized
+  /// score of the same name.
   size_t names_scored = 0;
 };
 
@@ -137,7 +153,8 @@ bool CellComplete(double skip_bound, double weight_name, double normalizer,
 /// cutoff cell scorer. One instance per Generate/GenerateAdaptive call and
 /// worker thread; not thread-safe (the scratch is reused across cells).
 /// It also memoizes, per query position, the name similarity of each
-/// distinct element name (`UsePosition` selects the position).
+/// distinct element name the position's name row does not hold
+/// (`UsePosition` selects the position).
 class GenerationEngine {
  public:
   GenerationEngine(const PreparedRepository* prepared,
@@ -390,26 +407,34 @@ class GenerationEngine {
     // always runs the kernel: a pruned candidate's lower bound feeds the
     // skip-bound, and an exact cost cannot stand in for it.
     // A full cost is `ComputeNodeCost`'s own expression with the name
-    // similarity taken from the position's memo: elements sharing a name id
-    // share it, and the type penalty is applied per element, so every cost
-    // is bit-identical to the unmemoized one.
+    // similarity taken from the position's name row, or else from the
+    // engine's memo: elements sharing a name id share it, and the type
+    // penalty is applied per element, so every cost is bit-identical to
+    // the unmemoized one.
     assert(epoch_ != 0);
     for (const match::CandidateEntry& entry : previous) {
       known_cost_[static_cast<size_t>(entry.node)] = entry.cost;
     }
     CellWork work;
+    const std::vector<double>& row = retrieval.name_row;
     auto full_cost = [&](const schema::SchemaNode& tnode, uint32_t ordinal,
                          const PreparedElement& element) {
       const double known = known_cost_[static_cast<size_t>(element.node)];
       if (known != kNoKnownCost) return known;
       ++work.computed;
       const uint32_t name = prepared_->name_id(ordinal);
-      if (name_epoch_[name] != epoch_) {
-        name_epoch_[name] = epoch_;
-        name_score_[name] = scorer.Score(element.name);
-        ++work.names_scored;
+      double similarity;
+      if (!row.empty() && row[name] != kNotInRow) {
+        similarity = row[name];
+      } else {
+        if (name_epoch_[name] != epoch_) {
+          name_epoch_[name] = epoch_;
+          name_score_[name] = scorer.Score(element.name);
+          ++work.names_scored;
+        }
+        similarity = name_score_[name];
       }
-      return match::ApplyTypePenalty(1.0 - name_score_[name], qnode, tnode,
+      return match::ApplyTypePenalty(1.0 - similarity, qnode, tnode,
                                      *objective_);
     };
     entries_.clear();
@@ -860,7 +885,8 @@ struct ScoredCell {
   CellWork work;
 };
 
-/// \brief Multi-threaded retrieval and cell scoring with in-order commit.
+/// \brief Retrieval and cell scoring on one or more workers, with
+/// in-order commit (one worker runs inline on the calling thread).
 ///
 /// Each worker owns a `GenerationEngine` (scratch) and a copy of the
 /// current position's block-max resume hints, and builds its
@@ -998,6 +1024,63 @@ class ParallelCellScorer {
   std::vector<Worker> workers_;
 };
 
+/// Names per work item of the name-row fill: items are (position, chunk)
+/// pairs, so a few thousand names spread over the workers.
+constexpr size_t kRowChunk = 256;
+/// Schemas per work item of the threaded gather.
+constexpr size_t kGatherSchemas = 64;
+
+/// Scores `names` against `query_name` in one `ScoreMany` batch over the
+/// names' representatives and writes each similarity to `row[name]`. With
+/// `min_score` 0 every score is exact and bit-identical to
+/// `BlockScorer::Score`, so a row entry is the value the memo would hold.
+void ScoreNameRow(const PreparedRepository& prepared,
+                  const sim::NameSimilarityOptions& options,
+                  const sim::PreparedName& query_name,
+                  std::span<const uint32_t> names, double* row) {
+  std::vector<const sim::PreparedName*> targets;
+  targets.reserve(names.size());
+  for (uint32_t name : names) {
+    targets.push_back(
+        &prepared.element(prepared.name_representative(name)).name);
+  }
+  std::vector<sim::CutoffScore> scores(names.size());
+  sim::BlockScorer scorer(query_name, options);
+  scorer.ScoreMany(targets, /*min_score=*/0.0, scores.data());
+  for (size_t i = 0; i < names.size(); ++i) row[names[i]] = scores[i].score;
+}
+
+/// Fills a full-coverage cell from its position's name row: every node of
+/// the schema at `ComputeNodeCost`'s expression over the row's similarity,
+/// sorted by (cost, node) — exactly what the max-heap keeps when the limit
+/// reaches the schema size, since then nothing is dropped or pruned — and
+/// the skip-bound +infinity.
+void GatherCell(const PreparedRepository& prepared,
+                const match::ObjectiveOptions& objective,
+                const std::vector<double>& row,
+                const schema::SchemaNode& qnode, int32_t schema_index,
+                std::vector<match::CandidateEntry>* entries,
+                double* skip_bound) {
+  const schema::Schema& schema = prepared.repo().schema(schema_index);
+  const uint32_t first = prepared.first_ordinal(schema_index);
+  entries->resize(schema.size());
+  for (size_t n = 0; n < schema.size(); ++n) {
+    const auto node = static_cast<schema::NodeId>(n);
+    const double similarity =
+        row[prepared.name_id(first + static_cast<uint32_t>(n))];
+    (*entries)[n] = {node, match::ApplyTypePenalty(1.0 - similarity, qnode,
+                                                   schema.node(node),
+                                                   objective)};
+  }
+  std::sort(entries->begin(), entries->end(),
+            [](const match::CandidateEntry& a,
+               const match::CandidateEntry& b) {
+              if (a.cost != b.cost) return a.cost < b.cost;
+              return a.node < b.node;
+            });
+  *skip_bound = kInf;
+}
+
 }  // namespace
 
 bool QueryCandidates::CellProvablyComplete(size_t pos, int32_t schema_index,
@@ -1085,51 +1168,94 @@ void CandidateGenerator::ScoreEveryCell(
     const schema::Schema& query, const std::vector<schema::NodeId>& preorder,
     const std::vector<size_t>& limits, QueryCandidates* out,
     AdaptiveGenerationStats* spent) const {
+  const schema::SchemaRepository& repo = prepared_->repo();
   const size_t schema_count = out->schema_count_;
-  auto spend = [spent](const CellWork& work) {
-    spent->budget_spent += work.scored;
-    spent->costs_computed += work.computed;
-    spent->names_scored += work.names_scored;
+  const size_t m = preorder.size();
+  auto full_coverage = [&](size_t cell_index) {
+    return limits[cell_index] >=
+           repo.schema(static_cast<int32_t>(cell_index % schema_count)).size();
   };
 
-  const size_t threads = ResolveThreadCount(num_threads_);
-  if (threads > 1) {
-    ParallelCellScorer workers(threads, prepared_, &objective_,
-                               trigram_weight_share_, cutoff_enabled_,
-                               block_max_enabled_, query, preorder);
-    std::vector<PositionRetrieval> retrievals;
-    workers.RetrieveAll(&retrievals);
-    std::vector<CellTask> tasks(limits.size());
-    for (size_t i = 0; i < tasks.size(); ++i) tasks[i] = {i, limits[i], {}};
-    workers.ScoreInOrder(
-        retrievals, tasks, [] { return false; },
-        [&](const CellTask& task, ScoredCell& cell) {
-          out->cells_[task.cell_index].entries = std::move(cell.entries);
-          out->cells_[task.cell_index].skip_bound = cell.skip_bound;
-          spend(cell.work);
-        });
-    return;
+  // A full-coverage cell is gathered from its position's name row, which
+  // holds the distinct names of the position's full-coverage cells. The
+  // heap path sends every node of such a cell through a full cost, so its
+  // memo scored each of these names as well: a row never scores more
+  // names than the memo did. The gather considers and costs every node,
+  // as the heap path does.
+  std::vector<std::vector<uint32_t>> row_names(m);
+  std::vector<uint8_t> in_row(prepared_->name_count(), 0);
+  for (size_t pos = 0; pos < m; ++pos) {
+    for (size_t si = 0; si < schema_count; ++si) {
+      if (!full_coverage(pos * schema_count + si)) continue;
+      const auto schema_index = static_cast<int32_t>(si);
+      const uint32_t first = prepared_->first_ordinal(schema_index);
+      const auto size = static_cast<uint32_t>(repo.schema(schema_index).size());
+      spent->budget_spent += size;
+      spent->costs_computed += size;
+      for (uint32_t ordinal = first; ordinal < first + size; ++ordinal) {
+        const uint32_t name = prepared_->name_id(ordinal);
+        if (in_row[name] == 0) {
+          in_row[name] = 1;
+          row_names[pos].push_back(name);
+        }
+      }
+    }
+    for (uint32_t name : row_names[pos]) in_row[name] = 0;
+    spent->names_scored += row_names[pos].size();
   }
 
-  GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
-                          cutoff_enabled_, block_max_enabled_);
-  PositionRetrieval retrieval;
-  for (size_t pos = 0; pos < preorder.size(); ++pos) {
-    const schema::SchemaNode& qnode = query.node(preorder[pos]);
-    engine.Retrieve(qnode, &retrieval);
-    engine.UsePosition(pos);
-    // One scorer per query position: query-side setup (weights, PEQ
-    // bitmask scatter) loads once and every candidate of every schema
-    // scores through it.
-    sim::BlockScorer scorer(retrieval.prepared, objective_.name);
-    for (size_t si = 0; si < schema_count; ++si) {
-      const size_t cell_index = pos * schema_count + si;
-      QueryCandidates::Cell& cell = out->cells_[cell_index];
-      spend(engine.ScoreCell(retrieval, retrieval.wand_terms, scorer, qnode,
-                             static_cast<int32_t>(si), limits[cell_index], {},
-                             &cell.entries, &cell.skip_bound));
+  // With one thread every stage below runs inline (`ParallelFor`).
+  const size_t threads = ResolveThreadCount(num_threads_);
+  ParallelCellScorer workers(threads, prepared_, &objective_,
+                             trigram_weight_share_, cutoff_enabled_,
+                             block_max_enabled_, query, preorder);
+  std::vector<PositionRetrieval> retrievals;
+  workers.RetrieveAll(&retrievals);
+  // Rows in (position, name chunk) items, then shared read-only.
+  std::vector<std::pair<size_t, size_t>> row_items;
+  for (size_t pos = 0; pos < m; ++pos) {
+    if (row_names[pos].empty()) continue;
+    retrievals[pos].name_row.assign(prepared_->name_count(), kNotInRow);
+    for (size_t begin = 0; begin < row_names[pos].size(); begin += kRowChunk) {
+      row_items.emplace_back(pos, begin);
     }
   }
+  ParallelFor(threads, row_items.size(), [&](size_t, size_t item) {
+    const auto [pos, begin] = row_items[item];
+    const std::span<const uint32_t> names(row_names[pos]);
+    const size_t count = std::min(kRowChunk, names.size() - begin);
+    ScoreNameRow(*prepared_, objective_.name, retrievals[pos].prepared,
+                 names.subspan(begin, count), retrievals[pos].name_row.data());
+  });
+  // Gather in (position, schema range) items: each cell has one writer.
+  const size_t ranges = (schema_count + kGatherSchemas - 1) / kGatherSchemas;
+  ParallelFor(threads, m * ranges, [&](size_t, size_t item) {
+    const size_t pos = item / ranges;
+    const size_t begin = (item % ranges) * kGatherSchemas;
+    const size_t end = std::min(schema_count, begin + kGatherSchemas);
+    const schema::SchemaNode& qnode = query.node(preorder[pos]);
+    for (size_t si = begin; si < end; ++si) {
+      const size_t cell_index = pos * schema_count + si;
+      if (!full_coverage(cell_index)) continue;
+      QueryCandidates::Cell& cell = out->cells_[cell_index];
+      GatherCell(*prepared_, objective_, retrievals[pos].name_row, qnode,
+                 static_cast<int32_t>(si), &cell.entries, &cell.skip_bound);
+    }
+  });
+  // Partial cells keep the heap path.
+  std::vector<CellTask> tasks;
+  for (size_t i = 0; i < limits.size(); ++i) {
+    if (!full_coverage(i)) tasks.push_back({i, limits[i], {}});
+  }
+  workers.ScoreInOrder(
+      retrievals, tasks, [] { return false; },
+      [&](const CellTask& task, ScoredCell& cell) {
+        out->cells_[task.cell_index].entries = std::move(cell.entries);
+        out->cells_[task.cell_index].skip_bound = cell.skip_bound;
+        spent->budget_spent += cell.work.scored;
+        spent->costs_computed += cell.work.computed;
+        spent->names_scored += cell.work.names_scored;
+      });
 }
 
 Result<QueryCandidates> CandidateGenerator::Generate(

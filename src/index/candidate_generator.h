@@ -79,26 +79,42 @@
 /// per round are counted in `AdaptiveGenerationStats::budget_spent`; the
 /// costs actually evaluated in `costs_computed`.
 ///
-/// **Each distinct name is scored once per position.** A full node cost is
-/// `ApplyTypePenalty(1 − sim(query name, element name), types)`, and the
-/// similarity depends on the element only through its folded name, which
-/// `PreparedRepository::name_id` numbers densely. So the engine keeps, per
-/// query position, the similarity of every name id it has scored, and an
-/// element whose name was already scored at that position pays only its
-/// type penalty. The memo holds the raw similarity, never a penalized
-/// cost, and the cost is `ComputeNodeCost`'s own expression, so every cost
-/// is bit-identical to the unmemoized one. The threshold-aware branch is
-/// not memoized (its pruned lower bounds feed the skip-bound). The memo
-/// changes no list, no skip-bound and neither `budget_spent` nor
-/// `costs_computed`; the similarity-kernel runs it leaves are counted in
-/// `AdaptiveGenerationStats::names_scored`.
+/// **Full-coverage cells are gathered from name rows.** A full node cost
+/// is `ApplyTypePenalty(1 − sim(query name, element name), types)`, and
+/// the similarity depends on the element only through its folded name,
+/// which `PreparedRepository::name_id` numbers densely. When every cell is
+/// scored once (`Generate`, and `GenerateAdaptive` in the planned regime),
+/// each query position first gets a *name row*: the distinct names of its
+/// full-coverage cells (limit ≥ |schema|), scored in one batched
+/// `sim::BlockScorer::ScoreMany` call (`min_score` 0, bit-identical to
+/// `Score`) over one representative element per name
+/// (`PreparedRepository::name_representative`). A full-coverage cell is
+/// then a gather: every node costed from the row, sorted by (cost, node),
+/// skip-bound +infinity — no retrieval, WAND walk or heap. That is exactly
+/// what the heap path keeps at such a limit, since it drops and prunes
+/// nothing there. The row never scores more names than the per-cell path
+/// did: that path sends every node of a full-coverage cell through a full
+/// cost, so it scored each of the row's names too. Partial cells keep the
+/// heap path; their full costs read the row for names it holds and else a
+/// per-engine memo keyed by name id, so each other name is scored at most
+/// once per position and engine. The row and the memo hold raw
+/// similarities, never penalized costs, and every cost is
+/// `ComputeNodeCost`'s own expression, so every cost is bit-identical to
+/// the unmemoized one. The threshold-aware branch reads neither (its
+/// pruned lower bounds feed the skip-bound), and the round-by-round loop
+/// uses the memo only. None of this changes a list, a skip-bound,
+/// `budget_spent` or `costs_computed`; the similarity-kernel runs left
+/// are counted in `AdaptiveGenerationStats::names_scored`.
 ///
 /// **Threads.** Cells are independent, so with `set_num_threads(N > 1)`
 /// retrieval runs per query position and scoring per block of cells on N
 /// workers (`ParallelFor`), each with its own scratch, `BlockScorer` and
 /// copy of the block-max resume hints. The output never depends on N:
 ///  * round 0, the planned single pass and fixed-C generation score every
-///    cell, so blocks simply land in their own cells;
+///    cell, so blocks simply land in their own cells. In the single pass
+///    the name rows are filled first, in (position, name chunk) items, and
+///    the workers then share them read-only; the gather runs in
+///    (position, schema range) items;
 ///  * an escalation round must stop at the very cell where the serial loop
 ///    stops — the first one, in (position, schema) order, after which the
 ///    certified fraction reaches the target. Workers score order-contiguous
@@ -112,7 +128,8 @@
 /// output, for cost reuse, without a lock: only the cell's own in-order
 /// commit writes them, and that commit runs after the worker's block has
 /// finished.
-/// With one thread (the default) generation is the plain serial loop.
+/// With one thread (the default) the round loop is the plain serial loop
+/// and the single pass runs the same stages inline.
 
 namespace smb::index {
 
@@ -244,14 +261,17 @@ struct AdaptiveGenerationStats {
   /// threshold-pruned), after reusing each escalated cell's known entry
   /// costs. At most `budget_spent`; the same for every thread count.
   uint64_t costs_computed = 0;
-  /// Full name similarities (`sim::BlockScorer::Score`) computed for
-  /// committed cells: the full costs among `costs_computed` that the
-  /// per-position name memo did not absorb (see "Each distinct name is
-  /// scored once per position" above). Threshold-pruned costs are not
-  /// counted. Each engine, one per call and one per worker thread, keeps
-  /// its own memo, so like `speculative_scored` this varies with the
-  /// thread count; with one thread it is at most positions × name count
-  /// per pass over the positions.
+  /// Name similarities computed for committed cells: the name-row entries
+  /// (one per distinct name of a position's full-coverage cells, in the
+  /// single pass) plus the per-engine memo's misses (full costs of partial
+  /// cells whose name is in no row; see "gathered from name rows" above).
+  /// Threshold-pruned costs are not counted. The rows are the same for
+  /// every thread count, but each engine, one per call and one per worker
+  /// thread, keeps its own memo, so like `speculative_scored` this varies
+  /// with the thread count when some cell is partial; when every cell
+  /// covers its schema it is positions × name count. With one thread it is
+  /// at most positions × name count per pass over the positions, and
+  /// never more than scoring each cell's names through the memo alone.
   uint64_t names_scored = 0;
   /// Candidates scored on worker threads for cells past the point where
   /// the target was met, then discarded (see "Threads" above). Always 0
@@ -291,7 +311,8 @@ class CandidateGenerator {
   /// kept candidate costs stay bit-identical to the dense pool's. When no
   /// list short of its whole schema can certify at `delta_threshold`, the
   /// rounds are planned from the schema sizes and every cell is scored
-  /// once (see the file comment). `stats`, when non-null, receives the
+  /// once, full-coverage cells by the name-row gather (see the file
+  /// comment). `stats`, when non-null, receives the
   /// spent budget and the achieved bound.
   Result<QueryCandidates> GenerateAdaptive(
       const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
@@ -328,7 +349,8 @@ class CandidateGenerator {
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
   /// Scores every cell of `out` once, at `limits[cell]` (position-major),
-  /// from scratch — serially, or on the workers — and adds the candidates
+  /// from scratch on the workers, gathering each cell whose limit reaches
+  /// its schema size from its position's name row, and adds the candidates
   /// considered, costs computed and names scored to `spent`.
   void ScoreEveryCell(const schema::Schema& query,
                       const std::vector<schema::NodeId>& preorder,

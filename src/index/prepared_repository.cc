@@ -149,13 +149,15 @@ void PreparedRepository::BuildNameIds() {
   std::unordered_map<std::string_view, uint32_t> ids;
   ids.reserve(elements_.size());
   name_ids_.resize(elements_.size());
+  name_representatives_.clear();
   for (size_t ordinal = 0; ordinal < elements_.size(); ++ordinal) {
-    name_ids_[ordinal] =
-        ids.try_emplace(elements_[ordinal].name.folded,
-                        static_cast<uint32_t>(ids.size()))
-            .first->second;
+    const auto [it, inserted] = ids.try_emplace(
+        elements_[ordinal].name.folded, static_cast<uint32_t>(ids.size()));
+    if (inserted) {
+      name_representatives_.push_back(static_cast<uint32_t>(ordinal));
+    }
+    name_ids_[ordinal] = it->second;
   }
-  name_count_ = ids.size();
 }
 
 void PreparedRepository::BuildTrigramBlocks() {

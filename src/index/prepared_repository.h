@@ -47,7 +47,9 @@
 /// collection of the serving benchmark has 20,052 elements but 2,965
 /// distinct folded names. The ids are derived, never stored: `Build` and
 /// the snapshot loader assign them in one pass over the elements' folded
-/// names, in first-occurrence (ordinal) order.
+/// names, in first-occurrence (ordinal) order. The same pass records each
+/// id's first element (`name_representative`), whose prepared name a
+/// batched scorer can take for the whole id.
 ///
 /// `CandidateGenerator` (candidate_generator.h) turns these postings into
 /// top-C candidate lists per query element together with an **admissible
@@ -174,11 +176,19 @@ class PreparedRepository {
   }
 
   /// Distinct folded names across all elements.
-  size_t name_count() const { return name_count_; }
+  size_t name_count() const { return name_representatives_.size(); }
   /// Name id of element `ordinal`, dense in `[0, name_count())`: two
   /// elements share an id iff their folded names are equal, so they share
   /// every name similarity (see the file comment).
   uint32_t name_id(uint32_t ordinal) const { return name_ids_[ordinal]; }
+  /// The first element ordinal carrying name id `name`. Its prepared name
+  /// stands for the whole id: every element of the id has the same folded
+  /// name, hence the same `sim::PreparedName` and the same similarity to
+  /// any query name. Name ids are assigned in first-occurrence order, so
+  /// representatives ascend with the id.
+  uint32_t name_representative(uint32_t name) const {
+    return name_representatives_[name];
+  }
 
   /// Ordinal of the first element of `schema_index`.
   uint32_t first_ordinal(int32_t schema_index) const {
@@ -258,9 +268,10 @@ class PreparedRepository {
   /// `Build` and by the snapshot loader for pre-v2 files.
   void BuildTrigramBlocks();
 
-  /// Assigns `name_ids_` / `name_count_` from the elements' folded names
-  /// (which must be final), in ordinal order of first occurrence. Called
-  /// by `Build` and by the snapshot loader.
+  /// Assigns `name_ids_` and `name_representatives_` from the elements'
+  /// folded names (which must be final), in ordinal order of first
+  /// occurrence, in one pass. Called by `Build` and by the snapshot
+  /// loader.
   void BuildNameIds();
 
   template <typename Map>
@@ -274,9 +285,10 @@ class PreparedRepository {
   sim::NameSimilarityOptions name_options_;
   std::vector<PreparedElement> elements_;
   std::vector<uint32_t> first_ordinal_;
-  /// Name id per element ordinal (see `name_id`); never serialized.
+  /// Name id per element ordinal (see `name_id`) and the first ordinal of
+  /// each name id (see `name_representative`); never serialized.
   std::vector<uint32_t> name_ids_;
-  size_t name_count_ = 0;
+  std::vector<uint32_t> name_representatives_;
   /// Shared interner — element token ids index `token_postings_` directly.
   /// On the heap: `PreparedName::token_table` provenance pointers must
   /// survive moves of this object.

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "common/timing.h"
 #include "io/binary_io.h"
 #include "match/fingerprint.h"
 
@@ -301,7 +302,8 @@ struct SnapshotCodec {
   static Result<PreparedRepository> DecodeBody(
       std::string_view body, uint32_t version,
       const schema::SchemaRepository& repo,
-      const sim::NameSimilarityOptions& name_options, size_t num_threads) {
+      const sim::NameSimilarityOptions& name_options, size_t num_threads,
+      double* name_ids_seconds) {
     io::BinaryReader r(body);
 
     SMB_ASSIGN_OR_RETURN(uint32_t schema_count, r.ReadU32("schema count"));
@@ -529,7 +531,11 @@ struct SnapshotCodec {
                        " trailing byte(s)");
     }
     // Name ids are derived from the validated elements, never read.
+    const SteadyClock::time_point name_ids_start = SteadyClock::now();
     p.BuildNameIds();
+    if (name_ids_seconds != nullptr) {
+      *name_ids_seconds = SecondsSince(name_ids_start);
+    }
     return p;
   }
 
@@ -634,9 +640,14 @@ Result<std::string> EncodeSnapshotForVersion(
   return EncodeSnapshotAt(prepared, format_version);
 }
 
-Result<PreparedRepository> DecodeSnapshot(
+namespace {
+
+/// `DecodeSnapshot`, also reporting the seconds of the name-id pass when
+/// `name_ids_seconds` is non-null.
+Result<PreparedRepository> DecodeSnapshotTimed(
     std::string_view bytes, const schema::SchemaRepository& repo,
-    const sim::NameSimilarityOptions& name_options, size_t num_threads) {
+    const sim::NameSimilarityOptions& name_options, size_t num_threads,
+    double* name_ids_seconds) {
   if (bytes.size() < kHeaderSize) {
     return Status::ParseError(
         "snapshot truncated: " + std::to_string(bytes.size()) +
@@ -699,7 +710,16 @@ Result<PreparedRepository> DecodeSnapshot(
   }
 
   return SnapshotCodec::DecodeBody(body, version, repo, name_options,
-                                   num_threads);
+                                   num_threads, name_ids_seconds);
+}
+
+}  // namespace
+
+Result<PreparedRepository> DecodeSnapshot(
+    std::string_view bytes, const schema::SchemaRepository& repo,
+    const sim::NameSimilarityOptions& name_options, size_t num_threads) {
+  return DecodeSnapshotTimed(bytes, repo, name_options, num_threads,
+                             /*name_ids_seconds=*/nullptr);
 }
 
 Status SaveSnapshot(const PreparedRepository& prepared,
@@ -719,11 +739,32 @@ Result<PreparedRepository> LoadSnapshot(
     const sim::NameSimilarityOptions& name_options, size_t num_threads,
     SnapshotLoadReport* report) {
   if (report != nullptr) *report = SnapshotLoadReport{};
+  // Reads one file, timing the read; `decode` times the decode and, on
+  // success, reports both.
+  double read_seconds = 0.0;
+  auto read = [&](const std::string& file) {
+    const SteadyClock::time_point start = SteadyClock::now();
+    Result<std::string> bytes = io::ReadBinaryFile(file);
+    read_seconds = SecondsSince(start);
+    return bytes;
+  };
+  auto decode = [&](std::string_view bytes) {
+    const SteadyClock::time_point start = SteadyClock::now();
+    double name_ids_seconds = 0.0;
+    Result<PreparedRepository> decoded = DecodeSnapshotTimed(
+        bytes, repo, name_options, num_threads, &name_ids_seconds);
+    if (decoded.ok() && report != nullptr) {
+      report->read_seconds = read_seconds;
+      report->decode_seconds = SecondsSince(start) - name_ids_seconds;
+      report->name_ids_seconds = name_ids_seconds;
+    }
+    return decoded;
+  };
+
   Status primary_error = Status::OK();
-  Result<std::string> bytes = io::ReadBinaryFile(path);
+  Result<std::string> bytes = read(path);
   if (bytes.ok()) {
-    Result<PreparedRepository> loaded =
-        DecodeSnapshot(*bytes, repo, name_options, num_threads);
+    Result<PreparedRepository> loaded = decode(*bytes);
     if (loaded.ok()) return loaded;
     primary_error = loaded.status().WithContext(
         "while loading index snapshot " + path);
@@ -743,10 +784,9 @@ Result<PreparedRepository> LoadSnapshot(
   // backup must decode cleanly (and fingerprint-match) or the primary's
   // error stands.
   const std::string backup_path = path + ".bak";
-  Result<std::string> backup_bytes = io::ReadBinaryFile(backup_path);
+  Result<std::string> backup_bytes = read(backup_path);
   if (backup_bytes.ok()) {
-    Result<PreparedRepository> backup =
-        DecodeSnapshot(*backup_bytes, repo, name_options, num_threads);
+    Result<PreparedRepository> backup = decode(*backup_bytes);
     if (backup.ok()) {
       if (report != nullptr) {
         report->used_backup = true;

@@ -99,6 +99,11 @@ struct SnapshotLoadReport {
   bool used_backup = false;
   /// Human-readable degradation note, empty on a clean primary load.
   std::string warning;
+  /// Seconds spent on the file that loaded: reading it, decoding it, and
+  /// of the decode the name-id pass (`decode_seconds` excludes it).
+  double read_seconds = 0.0;
+  double decode_seconds = 0.0;
+  double name_ids_seconds = 0.0;
 };
 
 /// \brief `DecodeSnapshot` from a file. A missing file (with no backup)

@@ -38,6 +38,9 @@ Status PopulateIndex(std::shared_ptr<ServingIndex>& index,
       index->source = "snapshot";
       index->used_backup = report.used_backup;
       index->warning = report.warning;
+      index->snapshot_read_seconds = report.read_seconds;
+      index->snapshot_decode_seconds = report.decode_seconds;
+      index->name_ids_seconds = report.name_ids_seconds;
       return Status::OK();
     }
     if (loaded.status().code() != StatusCode::kNotFound ||
@@ -85,7 +88,9 @@ Result<std::shared_ptr<const ServingIndex>> OpenServingIndex(
     const ServingIndexOptions& options, uint64_t generation) {
   auto index = std::make_shared<ServingIndex>();
   index->generation = generation;
+  const SteadyClock::time_point t0 = SteadyClock::now();
   SMB_ASSIGN_OR_RETURN(index->repo, schema::LoadRepositoryDir(repo_dir));
+  index->repo_load_seconds = SecondsSince(t0);
   Status populated = PopulateIndex(index, snapshot_path, options);
   if (!populated.ok()) {
     return populated.WithContext("while opening serving index generation " +

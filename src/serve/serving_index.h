@@ -70,6 +70,13 @@ struct ServingIndex {
   double load_seconds = 0.0;
   double build_seconds = 0.0;
   double save_seconds = 0.0;
+  /// Start-up stages (`OpenServingIndex`): reading and parsing the
+  /// repository directory, and of `load_seconds` the snapshot file read,
+  /// its decode and the name-id pass (see `index::SnapshotLoadReport`).
+  double repo_load_seconds = 0.0;
+  double snapshot_read_seconds = 0.0;
+  double snapshot_decode_seconds = 0.0;
+  double name_ids_seconds = 0.0;
   /// @}
 };
 

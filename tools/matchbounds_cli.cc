@@ -136,7 +136,8 @@ commands:
             bytes with a clean `err` (the connection stays usable)
             [--listen=HOST:PORT] network mode: accept any number of
             concurrent client connections (PORT 0 picks an ephemeral
-            port, reported on the `listening=` line); a fixed worker
+            port, reported on the `listening=` line; the start-up
+            stages' ms go to stderr on a `startup` line); a fixed worker
             pool ([--workers=N]) executes requests from a bounded
             admission queue ([--queue-depth=N]); under queue or deadline
             pressure ([--deadline-ms=N] default per request) the
@@ -700,7 +701,8 @@ int RunOfflineServe(serve::MatchService& service, std::istream& in) {
 int RunNetworkServe(serve::MatchService& service,
                     const std::string& listen_spec, size_t workers,
                     size_t queue_depth, double deadline_ms,
-                    size_t max_line_bytes) {
+                    size_t max_line_bytes, const std::string& startup_stages,
+                    SteadyClock::time_point startup_begin) {
   auto address = ParseListenAddress(listen_spec);
   if (!address.ok()) return Fail(address.status());
 
@@ -717,8 +719,14 @@ int RunNetworkServe(serve::MatchService& service,
   config.queue_depth = queue_depth;
   config.default_deadline_ms = deadline_ms;
   config.max_line_bytes = max_line_bytes;
+  const SteadyClock::time_point listen_begin = SteadyClock::now();
   serve::MatchServer server(&service, config);
   if (Status st = server.Start(); !st.ok()) return Fail(st);
+  std::cerr << "startup " << startup_stages << " listen_ms="
+            << FormatDouble(SecondsSince(listen_begin) * 1e3, 3)
+            << " total_ms="
+            << FormatDouble(SecondsSince(startup_begin) * 1e3, 3)
+            << std::endl;
   std::cout << "listening=" << config.host << ":" << server.port()
             << " workers=" << workers << " queue=" << queue_depth
             << " simd=" << sim::SimdTierName(sim::ActiveSimdTier())
@@ -741,6 +749,7 @@ int RunNetworkServe(serve::MatchService& service,
 }
 
 int CmdServe(const CommandLine& cl) {
+  const SteadyClock::time_point startup_begin = SteadyClock::now();
   std::string repo_dir = cl.Get("repo");
   if (repo_dir.empty()) {
     return Fail(Status::InvalidArgument("--repo required"));
@@ -786,10 +795,13 @@ int CmdServe(const CommandLine& cl) {
   // this command must never have. Every `reload` reuses the spec's index
   // options verbatim.
   std::string snapshot_path = cl.Get("snapshot");
+  const SteadyClock::time_point open_begin = SteadyClock::now();
   auto index = serve::OpenServingIndex(repo_dir, snapshot_path,
                                        spec->index_options(),
                                        /*generation=*/1);
   if (!index.ok()) return Fail(index.status());
+  const double open_seconds = SecondsSince(open_begin);
+  const SteadyClock::time_point service_begin = SteadyClock::now();
   if (!(*index)->warning.empty()) {
     std::cout << "warning " << (*index)->warning << std::endl;
   }
@@ -824,10 +836,25 @@ int CmdServe(const CommandLine& cl) {
             << std::endl;
 
   if (!listen_spec.empty()) {
+    // Network mode writes its start-up stages to stderr, in ms: the rest of
+    // opening the index is fingerprinting, the matcher and any build.
+    const serve::ServingIndex& opened = **index;
+    auto ms = [](double seconds) { return FormatDouble(seconds * 1e3, 3); };
+    const std::string stages =
+        "repo_load_ms=" + ms(opened.repo_load_seconds) +
+        " snapshot_read_ms=" + ms(opened.snapshot_read_seconds) +
+        " snapshot_decode_ms=" + ms(opened.snapshot_decode_seconds) +
+        " name_ids_ms=" + ms(opened.name_ids_seconds) +
+        " open_rest_ms=" +
+        ms(open_seconds - opened.repo_load_seconds -
+           opened.snapshot_read_seconds - opened.snapshot_decode_seconds -
+           opened.name_ids_seconds) +
+        " service_ms=" + ms(SecondsSince(service_begin));
     return RunNetworkServe(*built.service, listen_spec,
                            static_cast<size_t>(*workers),
                            static_cast<size_t>(*queue_depth), *deadline_ms,
-                           static_cast<size_t>(*max_line_bytes));
+                           static_cast<size_t>(*max_line_bytes), stages,
+                           startup_begin);
   }
   return RunOfflineServe(*built.service, request_file);
 }
