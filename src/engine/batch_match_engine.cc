@@ -126,6 +126,7 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
     // Like the dense pool, generation splits cells, not shards, so it gets
     // the full thread count even when shards are few.
     generator.set_num_threads(threads);
+    generator.set_name_row_cache(options_.name_row_cache);
     Result<index::QueryCandidates> generated =
         adaptive ? generator.GenerateAdaptive(query, *options_.adaptive,
                                               match_options.delta_threshold,

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "engine/similarity_matrix_pool.h"
 #include "index/candidate_generator.h"
+#include "index/name_row_cache.h"
 #include "index/prepared_repository.h"
 #include "match/answer_set.h"
 #include "match/matcher.h"
@@ -78,6 +79,12 @@ struct BatchMatchOptions {
   /// `candidate_limit > 0`, the engine builds one per Run — correct but
   /// wasteful for workloads; build once and share instead.
   const index::PreparedRepository* prepared_repository = nullptr;
+  /// Optional cross-request cache of query-name similarity rows for the
+  /// sparse path (index/name_row_cache.h), not owned. It must belong to
+  /// `prepared_repository` (candidate generation rejects it otherwise).
+  /// Lists and answers are identical with and without it. The serve path
+  /// passes its generation's cache; everything else runs without one.
+  index::NameRowCache* name_row_cache = nullptr;
   /// Bound-driven adaptive sparse mode: when set, candidate lists come
   /// from `index::CandidateGenerator::GenerateAdaptive` against the run's
   /// `MatchOptions::delta_threshold` — each cell grows until its skip-bound

@@ -5,11 +5,14 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <span>
 #include <utility>
 
 #include "common/mutex.h"
 #include "common/parallel.h"
+#include "match/fingerprint.h"
 #include "sim/prepared_kernel.h"
 #include "sim/synonyms.h"
 
@@ -34,7 +37,9 @@
 /// evaluating them again. Within one query position each distinct element
 /// name is scored once per engine: full costs read the name row, else the
 /// engine's memo of the name similarity by the index's name id, and add
-/// each element's type penalty on top. With more than one thread every
+/// each element's type penalty on top. With a `NameRowCache` the single
+/// pass takes each position's row from the cache when it can and inserts
+/// the complete rows it scores. With more than one thread every
 /// scoring pass runs through `ParallelCellScorer`, which commits scored
 /// blocks in cell order so the output matches the serial loop exactly;
 /// rows and gathers write disjoint entries and cells, in any order. The
@@ -83,7 +88,8 @@ struct WandTerm {
 constexpr double kNotInRow = -1.0;
 
 /// Retrieval results of one query position, valid for every schema and —
-/// in adaptive generation — every escalation round.
+/// in adaptive generation — every escalation round. In the single pass a
+/// position with no partial cell holds only `prepared` and `name_row`.
 struct PositionRetrieval {
   /// Lookup-only preparation against the index's shared interner.
   sim::PreparedName prepared;
@@ -98,11 +104,13 @@ struct PositionRetrieval {
   /// serial loops score through these, so their hints carry across cells.
   std::vector<WandTerm> wand_terms;
   const std::vector<uint32_t>* type_bucket = nullptr;
-  /// The position's name row (`ScoreEveryCell` only; empty in the round
-  /// loop): by name id, the exact similarity of the query name to every
-  /// name of the position's full-coverage cells, `kNotInRow` elsewhere.
-  /// Filled before any cell of the position is scored, then read-only.
-  std::vector<double> name_row;
+  /// The position's name row (`ScoreEveryCell` only; null in the round
+  /// loop and for a position with neither a cached row nor a full-coverage
+  /// cell): by name id, the exact similarity of the query name to every
+  /// name of the position's full-coverage cells, `kNotInRow` elsewhere; a
+  /// row from or for the `NameRowCache` holds every name. Filled before
+  /// any cell of the position is scored, then read-only.
+  NameRow name_row;
 };
 
 /// One posting-list cursor of the per-cell WAND traversal, restricted to
@@ -186,6 +194,13 @@ class GenerationEngine {
     ++epoch_;
   }
 
+  /// \brief Prepares the query name only: all a position needs whose
+  /// cells are gathered from its name row.
+  void Prepare(const schema::SchemaNode& qnode, PositionRetrieval* out) {
+    out->prepared = sim::PrepareName(qnode.name, objective_->name,
+                                     prepared_->token_table());
+  }
+
   /// \brief Runs the retrieval pass for one query node: trigram postings
   /// with multiplicities (exact Dice numerators), strong evidence (shared
   /// tokens, token synonym groups, equal folded names, whole-name synonym
@@ -195,8 +210,7 @@ class GenerationEngine {
       shared_.assign(prepared_->element_count(), 0);
       strong_.assign(prepared_->element_count(), 0);
     }
-    out->prepared = sim::PrepareName(qnode.name, objective_->name,
-                                     prepared_->token_table());
+    Prepare(qnode, out);
     out->hits.clear();
     out->type_bucket =
         qnode.type.empty() ? nullptr : prepared_->TypeBucket(qnode.type);
@@ -416,7 +430,8 @@ class GenerationEngine {
       known_cost_[static_cast<size_t>(entry.node)] = entry.cost;
     }
     CellWork work;
-    const std::vector<double>& row = retrieval.name_row;
+    const double* row =
+        retrieval.name_row != nullptr ? retrieval.name_row->data() : nullptr;
     auto full_cost = [&](const schema::SchemaNode& tnode, uint32_t ordinal,
                          const PreparedElement& element) {
       const double known = known_cost_[static_cast<size_t>(element.node)];
@@ -424,7 +439,7 @@ class GenerationEngine {
       ++work.computed;
       const uint32_t name = prepared_->name_id(ordinal);
       double similarity;
-      if (!row.empty() && row[name] != kNotInRow) {
+      if (row != nullptr && row[name] != kNotInRow) {
         similarity = row[name];
       } else {
         if (name_epoch_[name] != epoch_) {
@@ -913,13 +928,20 @@ class ParallelCellScorer {
     }
   }
 
-  /// Runs the retrieval pass of every query position, one position per
-  /// work item.
-  void RetrieveAll(std::vector<PositionRetrieval>* retrievals) {
+  /// Runs the retrieval pass of every query position whose `retrieve`
+  /// flag is set and only prepares the query name of the others, one
+  /// position per work item.
+  void RetrieveAll(const std::vector<uint8_t>& retrieve,
+                   std::vector<PositionRetrieval>* retrievals) {
     retrievals->resize(preorder_.size());
     ParallelFor(threads_, preorder_.size(), [&](size_t worker, size_t pos) {
-      workers_[worker].engine.Retrieve(query_.node(preorder_[pos]),
-                                       &(*retrievals)[pos]);
+      GenerationEngine& engine = workers_[worker].engine;
+      const schema::SchemaNode& qnode = query_.node(preorder_[pos]);
+      if (retrieve[pos] != 0) {
+        engine.Retrieve(qnode, &(*retrievals)[pos]);
+      } else {
+        engine.Prepare(qnode, &(*retrievals)[pos]);
+      }
     });
   }
 
@@ -1130,6 +1152,10 @@ Status CandidateGenerator::ValidateQuery(const schema::Schema& query) const {
         "candidate generation requires the objective's name options "
         "(folding, synonyms) to match the ones the index was built with");
   }
+  if (row_cache_ != nullptr && row_cache_->prepared() != prepared_) {
+    return Status::InvalidArgument(
+        "the name row cache belongs to a different prepared repository");
+  }
   return Status::OK();
 }
 
@@ -1171,37 +1197,28 @@ void CandidateGenerator::ScoreEveryCell(
   const schema::SchemaRepository& repo = prepared_->repo();
   const size_t schema_count = out->schema_count_;
   const size_t m = preorder.size();
+  const size_t name_count = prepared_->name_count();
   auto full_coverage = [&](size_t cell_index) {
     return limits[cell_index] >=
            repo.schema(static_cast<int32_t>(cell_index % schema_count)).size();
   };
 
-  // A full-coverage cell is gathered from its position's name row, which
-  // holds the distinct names of the position's full-coverage cells. The
-  // heap path sends every node of such a cell through a full cost, so its
-  // memo scored each of these names as well: a row never scores more
-  // names than the memo did. The gather considers and costs every node,
-  // as the heap path does.
-  std::vector<std::vector<uint32_t>> row_names(m);
-  std::vector<uint8_t> in_row(prepared_->name_count(), 0);
+  // Full-coverage cells are gathered from their position's name row;
+  // partial cells keep the heap path, the only reader of the retrieval.
+  // The gather considers and costs every node, as the heap path does.
+  std::vector<uint8_t> has_full(m, 0);
+  std::vector<uint8_t> has_partial(m, 0);
   for (size_t pos = 0; pos < m; ++pos) {
     for (size_t si = 0; si < schema_count; ++si) {
-      if (!full_coverage(pos * schema_count + si)) continue;
-      const auto schema_index = static_cast<int32_t>(si);
-      const uint32_t first = prepared_->first_ordinal(schema_index);
-      const auto size = static_cast<uint32_t>(repo.schema(schema_index).size());
+      if (!full_coverage(pos * schema_count + si)) {
+        has_partial[pos] = 1;
+        continue;
+      }
+      has_full[pos] = 1;
+      const size_t size = repo.schema(static_cast<int32_t>(si)).size();
       spent->budget_spent += size;
       spent->costs_computed += size;
-      for (uint32_t ordinal = first; ordinal < first + size; ++ordinal) {
-        const uint32_t name = prepared_->name_id(ordinal);
-        if (in_row[name] == 0) {
-          in_row[name] = 1;
-          row_names[pos].push_back(name);
-        }
-      }
     }
-    for (uint32_t name : row_names[pos]) in_row[name] = 0;
-    spent->names_scored += row_names[pos].size();
   }
 
   // With one thread every stage below runs inline (`ParallelFor`).
@@ -1210,23 +1227,82 @@ void CandidateGenerator::ScoreEveryCell(
                              trigram_weight_share_, cutoff_enabled_,
                              block_max_enabled_, query, preorder);
   std::vector<PositionRetrieval> retrievals;
-  workers.RetrieveAll(&retrievals);
+  workers.RetrieveAll(has_partial, &retrievals);
+
+  // The names each position's row scores. A row from or for the cache is
+  // complete (every name id). An uncached row holds the distinct names of
+  // the position's full-coverage cells: the heap path sends every node of
+  // such a cell through a full cost, so its memo scored each of these
+  // names as well, and the row never scores more names than the memo did.
+  const uint64_t options_fingerprint =
+      row_cache_ != nullptr ? match::FingerprintNameOptions(objective_.name)
+                            : 0;
+  std::vector<uint32_t> all_names;
+  std::vector<std::vector<uint32_t>> distinct_names(m);
+  std::vector<uint8_t> in_row;
+  std::vector<std::span<const uint32_t>> row_names(m);
+  std::vector<std::shared_ptr<std::vector<double>>> rows(m);
+  for (size_t pos = 0; pos < m; ++pos) {
+    if (row_cache_ != nullptr) {
+      retrievals[pos].name_row = row_cache_->Lookup(
+          retrievals[pos].prepared.folded, options_fingerprint);
+      if (retrievals[pos].name_row != nullptr) {
+        ++spent->rows_cached;
+        continue;
+      }
+    }
+    if (has_full[pos] == 0) continue;
+    if (row_cache_ != nullptr) {
+      if (all_names.empty()) {
+        all_names.resize(name_count);
+        std::iota(all_names.begin(), all_names.end(), 0u);
+      }
+      row_names[pos] = all_names;
+    } else {
+      in_row.resize(name_count, 0);
+      for (size_t si = 0; si < schema_count; ++si) {
+        if (!full_coverage(pos * schema_count + si)) continue;
+        const auto schema_index = static_cast<int32_t>(si);
+        const uint32_t first = prepared_->first_ordinal(schema_index);
+        const auto size =
+            static_cast<uint32_t>(repo.schema(schema_index).size());
+        for (uint32_t ordinal = first; ordinal < first + size; ++ordinal) {
+          const uint32_t name = prepared_->name_id(ordinal);
+          if (in_row[name] == 0) {
+            in_row[name] = 1;
+            distinct_names[pos].push_back(name);
+          }
+        }
+      }
+      for (uint32_t name : distinct_names[pos]) in_row[name] = 0;
+      row_names[pos] = distinct_names[pos];
+    }
+    rows[pos] = std::make_shared<std::vector<double>>(name_count, kNotInRow);
+    spent->names_scored += row_names[pos].size();
+  }
+
   // Rows in (position, name chunk) items, then shared read-only.
   std::vector<std::pair<size_t, size_t>> row_items;
   for (size_t pos = 0; pos < m; ++pos) {
-    if (row_names[pos].empty()) continue;
-    retrievals[pos].name_row.assign(prepared_->name_count(), kNotInRow);
     for (size_t begin = 0; begin < row_names[pos].size(); begin += kRowChunk) {
       row_items.emplace_back(pos, begin);
     }
   }
   ParallelFor(threads, row_items.size(), [&](size_t, size_t item) {
     const auto [pos, begin] = row_items[item];
-    const std::span<const uint32_t> names(row_names[pos]);
+    const std::span<const uint32_t> names = row_names[pos];
     const size_t count = std::min(kRowChunk, names.size() - begin);
     ScoreNameRow(*prepared_, objective_.name, retrievals[pos].prepared,
-                 names.subspan(begin, count), retrievals[pos].name_row.data());
+                 names.subspan(begin, count), rows[pos]->data());
   });
+  for (size_t pos = 0; pos < m; ++pos) {
+    if (rows[pos] == nullptr) continue;
+    retrievals[pos].name_row = rows[pos];
+    if (row_cache_ != nullptr) {
+      row_cache_->Insert(retrievals[pos].prepared.folded, options_fingerprint,
+                         retrievals[pos].name_row);
+    }
+  }
   // Gather in (position, schema range) items: each cell has one writer.
   const size_t ranges = (schema_count + kGatherSchemas - 1) / kGatherSchemas;
   ParallelFor(threads, m * ranges, [&](size_t, size_t item) {
@@ -1238,7 +1314,7 @@ void CandidateGenerator::ScoreEveryCell(
       const size_t cell_index = pos * schema_count + si;
       if (!full_coverage(cell_index)) continue;
       QueryCandidates::Cell& cell = out->cells_[cell_index];
-      GatherCell(*prepared_, objective_, retrievals[pos].name_row, qnode,
+      GatherCell(*prepared_, objective_, *retrievals[pos].name_row, qnode,
                  static_cast<int32_t>(si), &cell.entries, &cell.skip_bound);
     }
   });
@@ -1405,7 +1481,7 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
     ParallelCellScorer workers(threads, prepared_, &objective_,
                                trigram_weight_share_, cutoff_enabled_,
                                block_max_enabled_, query, preorder);
-    workers.RetrieveAll(&retrievals);
+    workers.RetrieveAll(std::vector<uint8_t>(m, 1), &retrievals);
     std::vector<CellTask> tasks(total_cells);
     for (size_t i = 0; i < total_cells; ++i) {
       tasks[i] = {i, policy.initial_limit, {}};

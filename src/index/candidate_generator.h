@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "index/name_row_cache.h"
 #include "index/prepared_repository.h"
 #include "match/objective.h"
 #include "schema/schema.h"
@@ -104,7 +105,22 @@
 /// pruned lower bounds feed the skip-bound), and the round-by-round loop
 /// uses the memo only. None of this changes a list, a skip-bound,
 /// `budget_spent` or `costs_computed`; the similarity-kernel runs left
-/// are counted in `AdaptiveGenerationStats::names_scored`.
+/// are counted in `AdaptiveGenerationStats::names_scored`. Retrieval runs
+/// only for positions that have a partial cell: a position whose cells
+/// are all full coverage only prepares its query name, which the row needs.
+///
+/// **Rows across requests.** With a `NameRowCache` set
+/// (`set_name_row_cache`; the serve path passes its generation's), each
+/// position of the single pass first looks up its folded query name. On a
+/// hit the position gathers from the cached row and its partial cells
+/// read every name from it, so the position scores no name. On a miss a
+/// position with a full-coverage cell scores the *complete* row, every
+/// name id of the index, and inserts it; a position without one inserts
+/// nothing and scores as above. A cached entry is the `min_score` 0
+/// `ScoreMany` value of its name, the value the memo and an uncached row
+/// hold, and the type penalty is applied per element after the lookup, so
+/// lists, skip-bounds, certificates, `budget_spent` and `costs_computed`
+/// are those of an uncached run; only `names_scored` falls.
 ///
 /// **Threads.** Cells are independent, so with `set_num_threads(N > 1)`
 /// retrieval runs per query position and scoring per block of cells on N
@@ -261,18 +277,26 @@ struct AdaptiveGenerationStats {
   /// threshold-pruned), after reusing each escalated cell's known entry
   /// costs. At most `budget_spent`; the same for every thread count.
   uint64_t costs_computed = 0;
-  /// Name similarities computed for committed cells: the name-row entries
-  /// (one per distinct name of a position's full-coverage cells, in the
-  /// single pass) plus the per-engine memo's misses (full costs of partial
-  /// cells whose name is in no row; see "gathered from name rows" above).
-  /// Threshold-pruned costs are not counted. The rows are the same for
-  /// every thread count, but each engine, one per call and one per worker
-  /// thread, keeps its own memo, so like `speculative_scored` this varies
-  /// with the thread count when some cell is partial; when every cell
-  /// covers its schema it is positions × name count. With one thread it is
-  /// at most positions × name count per pass over the positions, and
-  /// never more than scoring each cell's names through the memo alone.
+  /// Name similarities computed for committed cells: the entries of the
+  /// name rows this call scored plus the per-engine memo's misses (full
+  /// costs of partial cells whose name is in no row; see "gathered from
+  /// name rows" above). Without a row cache a position's row holds one
+  /// entry per distinct name of its full-coverage cells; with one, a
+  /// position that missed the cache and has a full-coverage cell scores
+  /// its complete row (the index's name count), and a position that hit
+  /// scores nothing. Threshold-pruned costs are not counted. The rows are
+  /// the same for every thread count, but each engine, one per call and
+  /// one per worker thread, keeps its own memo, so like
+  /// `speculative_scored` this varies with the thread count when some cell
+  /// is partial and its position has no cached row; when every cell covers
+  /// its schema and no cache is set it is positions × name count. With one
+  /// thread and no cache it is at most positions × name count per pass
+  /// over the positions, and never more than scoring each cell's names
+  /// through the memo alone.
   uint64_t names_scored = 0;
+  /// Query positions whose name row came from the `NameRowCache` (hits);
+  /// 0 without a cache. Those positions scored no name.
+  uint64_t rows_cached = 0;
   /// Candidates scored on worker threads for cells past the point where
   /// the target was met, then discarded (see "Threads" above). Always 0
   /// with one thread; with `names_scored`, the only field that may vary
@@ -345,13 +369,22 @@ class CandidateGenerator {
   /// value.
   void set_num_threads(size_t threads) { num_threads_ = threads; }
 
+  /// \brief Shares name rows across calls through `cache` (none by
+  /// default; nullptr turns it off again). The cache must belong to this
+  /// generator's `PreparedRepository` (checked in Generate) and outlive
+  /// the calls. Lists and skip-bounds do not change (see "Rows across
+  /// requests" in the file comment); `names_scored` falls and
+  /// `rows_cached` counts the hits.
+  void set_name_row_cache(NameRowCache* cache) { row_cache_ = cache; }
+
  private:
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
   /// Scores every cell of `out` once, at `limits[cell]` (position-major),
   /// from scratch on the workers, gathering each cell whose limit reaches
-  /// its schema size from its position's name row, and adds the candidates
-  /// considered, costs computed and names scored to `spent`.
+  /// its schema size from its position's name row (cached or scored), and
+  /// adds the candidates considered, costs computed, names scored and rows
+  /// cached to `spent`.
   void ScoreEveryCell(const schema::Schema& query,
                       const std::vector<schema::NodeId>& preorder,
                       const std::vector<size_t>& limits, QueryCandidates* out,
@@ -369,6 +402,7 @@ class CandidateGenerator {
   bool cutoff_enabled_ = true;
   bool block_max_enabled_ = true;
   size_t num_threads_ = 1;
+  NameRowCache* row_cache_ = nullptr;
 };
 
 }  // namespace smb::index

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -647,7 +648,7 @@ namespace {
 Result<PreparedRepository> DecodeSnapshotTimed(
     std::string_view bytes, const schema::SchemaRepository& repo,
     const sim::NameSimilarityOptions& name_options, size_t num_threads,
-    double* name_ids_seconds) {
+    std::optional<uint64_t> repo_fingerprint, double* name_ids_seconds) {
   if (bytes.size() < kHeaderSize) {
     return Status::ParseError(
         "snapshot truncated: " + std::to_string(bytes.size()) +
@@ -702,7 +703,11 @@ Result<PreparedRepository> DecodeSnapshotTimed(
         "folding, synonym table or synonym score differ) — rebuild the "
         "snapshot with the current options");
   }
-  if (repo_fp != match::FingerprintRepository(repo)) {
+  // Not `value_or`: its argument would fingerprint the repository anyway.
+  const uint64_t expected_repo_fp = repo_fingerprint.has_value()
+                                        ? *repo_fingerprint
+                                        : match::FingerprintRepository(repo);
+  if (repo_fp != expected_repo_fp) {
     return Status::FailedPrecondition(
         "snapshot was built over a different repository (schema names, "
         "types or structure differ) — rebuild the snapshot from the "
@@ -717,9 +722,10 @@ Result<PreparedRepository> DecodeSnapshotTimed(
 
 Result<PreparedRepository> DecodeSnapshot(
     std::string_view bytes, const schema::SchemaRepository& repo,
-    const sim::NameSimilarityOptions& name_options, size_t num_threads) {
+    const sim::NameSimilarityOptions& name_options, size_t num_threads,
+    std::optional<uint64_t> repo_fingerprint) {
   return DecodeSnapshotTimed(bytes, repo, name_options, num_threads,
-                             /*name_ids_seconds=*/nullptr);
+                             repo_fingerprint, /*name_ids_seconds=*/nullptr);
 }
 
 Status SaveSnapshot(const PreparedRepository& prepared,
@@ -737,7 +743,7 @@ Status SaveSnapshot(const PreparedRepository& prepared,
 Result<PreparedRepository> LoadSnapshot(
     const std::string& path, const schema::SchemaRepository& repo,
     const sim::NameSimilarityOptions& name_options, size_t num_threads,
-    SnapshotLoadReport* report) {
+    SnapshotLoadReport* report, std::optional<uint64_t> repo_fingerprint) {
   if (report != nullptr) *report = SnapshotLoadReport{};
   // Reads one file, timing the read; `decode` times the decode and, on
   // success, reports both.
@@ -751,8 +757,9 @@ Result<PreparedRepository> LoadSnapshot(
   auto decode = [&](std::string_view bytes) {
     const SteadyClock::time_point start = SteadyClock::now();
     double name_ids_seconds = 0.0;
-    Result<PreparedRepository> decoded = DecodeSnapshotTimed(
-        bytes, repo, name_options, num_threads, &name_ids_seconds);
+    Result<PreparedRepository> decoded =
+        DecodeSnapshotTimed(bytes, repo, name_options, num_threads,
+                            repo_fingerprint, &name_ids_seconds);
     if (decoded.ok() && report != nullptr) {
       report->read_seconds = read_seconds;
       report->decode_seconds = SecondsSince(start) - name_ids_seconds;

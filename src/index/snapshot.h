@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -80,9 +81,14 @@ Result<std::string> EncodeSnapshotForVersion(
 /// The element payload is chunked on the wire, so `num_threads > 1`
 /// decodes chunks on a worker pool (0 = hardware concurrency). The result
 /// is identical for every thread count.
+///
+/// `repo_fingerprint`, when given, must be `match::FingerprintRepository
+/// (repo)` as the caller already computed it; the stored fingerprint is
+/// compared against it instead of fingerprinting `repo` again.
 Result<PreparedRepository> DecodeSnapshot(
     std::string_view bytes, const schema::SchemaRepository& repo,
-    const sim::NameSimilarityOptions& name_options, size_t num_threads = 1);
+    const sim::NameSimilarityOptions& name_options, size_t num_threads = 1,
+    std::optional<uint64_t> repo_fingerprint = std::nullopt);
 
 /// \brief `EncodeSnapshot` to a file, crash-safely: temp file + fsync +
 /// atomic rename (io::WriteBinaryFileAtomic). A previous snapshot at
@@ -114,9 +120,11 @@ struct SnapshotLoadReport {
 /// `report->used_backup` set and the primary's error in `report->warning`
 /// — stale-but-valid data is never returned unannounced. With no usable
 /// backup every non-missing failure is a hard rejection.
+/// `repo_fingerprint` is as for `DecodeSnapshot`.
 Result<PreparedRepository> LoadSnapshot(
     const std::string& path, const schema::SchemaRepository& repo,
     const sim::NameSimilarityOptions& name_options, size_t num_threads = 1,
-    SnapshotLoadReport* report = nullptr);
+    SnapshotLoadReport* report = nullptr,
+    std::optional<uint64_t> repo_fingerprint = std::nullopt);
 
 }  // namespace smb::index

@@ -62,6 +62,7 @@ Result<MatchResponse> MatchService::Execute(const Request& request,
   engine::BatchMatchOptions eopts = config_.engine_options;
   eopts.prepared_repository =
       index->prepared.has_value() ? &*index->prepared : nullptr;
+  eopts.name_row_cache = index->name_rows.get();
   bool shed = false;
   if (eopts.adaptive.has_value()) {
     // A per-request `target=` ask replaces the configured base target but

@@ -36,9 +36,9 @@ namespace smb::serve {
 /// outlive the service; the index generation is shared (reload swaps it).
 struct MatchServiceConfig {
   match::MatchOptions match_options;
-  /// Engine configuration; `prepared_repository` is overridden per request
-  /// with the current generation's index, `adaptive` selects bound-driven
-  /// mode.
+  /// Engine configuration; `prepared_repository` and `name_row_cache` are
+  /// overridden per request with the current generation's index and its
+  /// name-row cache, `adaptive` selects bound-driven mode.
   engine::BatchMatchOptions engine_options;
   engine::QueryResultCache* cache = nullptr;
   /// Shedding configuration; only consulted in bound-driven mode

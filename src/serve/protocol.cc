@@ -216,6 +216,16 @@ std::string FormatReloadResponse(const ServingIndex& index) {
   return out.str();
 }
 
+std::string FormatRowCacheFields(const ServingIndex& index) {
+  const index::NameRowCacheStats stats = index.name_rows->stats();
+  std::ostringstream out;
+  out << " row_cache_hits=" << stats.hits
+      << " row_cache_misses=" << stats.misses
+      << " row_cache_evictions=" << stats.evictions
+      << " row_cache_bytes=" << stats.bytes;
+  return out.str();
+}
+
 std::map<std::string, std::string> ParseResponseFields(
     const std::string& line) {
   std::map<std::string, std::string> fields;

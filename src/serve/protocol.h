@@ -127,6 +127,13 @@ struct ServingIndex;
 /// generation (no newline); offline and network mode share it.
 std::string FormatReloadResponse(const ServingIndex& index);
 
+/// \brief The name-row cache fields of a `stats` line for `index`'s
+/// generation: `row_cache_hits=`, `row_cache_misses=`,
+/// `row_cache_evictions=` and `row_cache_bytes=`, each with its value and
+/// a leading space. The counters start at 0 with each generation. Offline
+/// and network mode share it.
+std::string FormatRowCacheFields(const ServingIndex& index);
+
 /// \brief Splits the `key=value` fields of a response line (everything
 /// after the leading `<verb> [<path>]` tokens) into a map — the generic
 /// accessor for `stats` lines.

@@ -253,7 +253,7 @@ std::string MatchServer::FormatStatsLine() const {
       << " cache_misses=" << cache_stats.misses
       << " cache_evictions=" << cache_stats.evictions
       << " cache_entries=" << service_->cache()->size() << "/"
-      << service_->cache()->capacity()
+      << service_->cache()->capacity() << FormatRowCacheFields(*index)
       << " simd=" << sim::SimdTierName(sim::ActiveSimdTier());
   for (const auto& [request_class, count] : snapshot.shed_by_class) {
     out << " shed_class_" << request_class << "=" << count;

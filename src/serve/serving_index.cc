@@ -1,5 +1,6 @@
 #include "serve/serving_index.h"
 
+#include <memory>
 #include <utility>
 
 #include "common/timing.h"
@@ -15,11 +16,12 @@ namespace smb::serve {
 
 namespace {
 
-/// Finishes a generation whose `repo` is already in place: fingerprint,
-/// matcher, and the prepared index (snapshot load, build, or both).
-Status PopulateIndex(std::shared_ptr<ServingIndex>& index,
-                     const std::string& snapshot_path,
-                     const ServingIndexOptions& options) {
+/// Fingerprints the generation's `repo`, builds its matcher and gives it
+/// the prepared index (snapshot load, build, or both). The snapshot check
+/// reuses the fingerprint.
+Status LoadOrBuildIndex(std::shared_ptr<ServingIndex>& index,
+                        const std::string& snapshot_path,
+                        const ServingIndexOptions& options) {
   index->repo_fingerprint = match::FingerprintRepository(index->repo);
   SMB_ASSIGN_OR_RETURN(
       index->matcher,
@@ -31,7 +33,7 @@ Status PopulateIndex(std::shared_ptr<ServingIndex>& index,
     index::SnapshotLoadReport report;
     Result<index::PreparedRepository> loaded = index::LoadSnapshot(
         snapshot_path, index->repo, options.name_options,
-        options.num_threads, &report);
+        options.num_threads, &report, index->repo_fingerprint);
     if (loaded.ok()) {
       index->prepared = *std::move(loaded);
       index->load_seconds = SecondsSince(t0);
@@ -65,6 +67,18 @@ Status PopulateIndex(std::shared_ptr<ServingIndex>& index,
                                             snapshot_path));
     index->save_seconds = SecondsSince(t1);
   }
+  return Status::OK();
+}
+
+/// Finishes a generation whose `repo` is already in place:
+/// `LoadOrBuildIndex`, then the generation's empty name-row cache over its
+/// prepared index.
+Status PopulateIndex(std::shared_ptr<ServingIndex>& index,
+                     const std::string& snapshot_path,
+                     const ServingIndexOptions& options) {
+  SMB_RETURN_IF_ERROR(LoadOrBuildIndex(index, snapshot_path, options));
+  index->name_rows =
+      std::make_unique<index::NameRowCache>(&*index->prepared);
   return Status::OK();
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "index/name_row_cache.h"
 #include "index/prepared_repository.h"
 #include "match/matcher.h"
 #include "match/matcher_factory.h"
@@ -24,7 +25,10 @@
 /// swap never invalidates state a worker is matching against, and the old
 /// generation is destroyed exactly when its last request finishes.
 /// `repo_fingerprint` is folded into the query-cache key, so answers
-/// computed against one generation are never replayed for another.
+/// computed against one generation are never replayed for another. Each
+/// generation also owns the cross-request name-row cache of its prepared
+/// index (`name_rows`), so a reload starts the new generation with an
+/// empty one and drops the old rows with the old index.
 namespace smb::serve {
 
 /// \brief How to construct a generation (matcher kind and knobs, scorer
@@ -58,6 +62,10 @@ struct ServingIndex {
   uint64_t repo_fingerprint = 0;
   std::unique_ptr<match::Matcher> matcher;
   std::optional<index::PreparedRepository> prepared;
+  /// Name rows shared by this generation's requests
+  /// (`index::NameRowCache` over `prepared`, default byte budget). Starts
+  /// empty; the only member requests write, and it is thread-safe.
+  std::unique_ptr<index::NameRowCache> name_rows;
 
   /// \name Provenance (the `stats` line and reload responses echo these).
   /// @{

@@ -11,6 +11,7 @@
 #include "engine/batch_match_engine.h"
 #include "index/candidate_generator.h"
 #include "io/binary_io.h"
+#include "match/fingerprint.h"
 #include "match/matcher_factory.h"
 #include "sim/synonyms.h"
 #include "synth/generator.h"
@@ -316,6 +317,42 @@ TEST(SnapshotTest, RejectsOptionAndRepositoryMismatches) {
   EXPECT_EQ(repo_result.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(repo_result.status().message().find("different repository"),
             std::string::npos);
+}
+
+TEST(SnapshotTest, APrecomputedRepositoryFingerprintIsStillCompared) {
+  schema::SchemaRepository repo = MakeRepo();
+  sim::NameSimilarityOptions options = SynonymOptions();
+  auto built = PreparedRepository::Build(repo, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const std::string bytes = EncodeSnapshot(*built);
+  const uint64_t fingerprint = match::FingerprintRepository(repo);
+
+  auto loaded = DecodeSnapshot(bytes, repo, options, /*num_threads=*/1,
+                               fingerprint);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(EncodeSnapshot(*loaded), bytes);
+
+  // The caller's value stands in for the repository's: one that differs
+  // from the stored fingerprint is rejected like a different repository.
+  auto mismatch = DecodeSnapshot(bytes, repo, options, /*num_threads=*/1,
+                                 fingerprint + 1);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_EQ(mismatch.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(mismatch.status().message().find("different repository"),
+            std::string::npos);
+
+  const std::string path = ::testing::TempDir() + "/smb_snap_fp.bin";
+  ASSERT_TRUE(SaveSnapshot(*built, path).ok());
+  EXPECT_TRUE(LoadSnapshot(path, repo, options, /*num_threads=*/1,
+                           /*report=*/nullptr, fingerprint)
+                  .ok());
+  EXPECT_EQ(LoadSnapshot(path, repo, options, /*num_threads=*/1,
+                         /*report=*/nullptr, fingerprint + 1)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
+  std::remove((path + ".bak").c_str());
 }
 
 TEST(SnapshotTest, RejectsEveryTruncationPoint) {

@@ -662,7 +662,8 @@ int RunOfflineServe(serve::MatchService& service, std::istream& in) {
                 << " cache_misses=" << cs.misses
                 << " cache_evictions=" << cs.evictions
                 << " cache_entries=" << cache.size() << "/"
-                << cache.capacity() << " index_source=" << index->source
+                << cache.capacity() << serve::FormatRowCacheFields(*index)
+                << " index_source=" << index->source
                 << " simd=" << sim::SimdTierName(sim::ActiveSimdTier())
                 << std::endl;
       continue;
