@@ -155,8 +155,14 @@ void BM_BatchTopKMatcher(benchmark::State& state) {
   const size_t kSchemas = 400;
   const Setup& setup = GetSetup(kSchemas);
   match::TopKMatcher matcher(match::TopKMatcherOptions{10, 100000});
+  // The exact engine run (no budget) over an index built once, outside
+  // the timed loop.
+  auto prepared = index::PreparedRepository::Build(
+                      setup.collection.repository, setup.mopts.objective.name)
+                      .value();
   engine::BatchMatchOptions bopts;
   bopts.num_threads = static_cast<size_t>(state.range(0));
+  bopts.prepared_repository = &prepared;
   engine::BatchMatchEngine batch(bopts);
 
   auto direct = matcher.Match(setup.collection.query,
@@ -181,8 +187,14 @@ void BM_BatchExhaustiveMatcher(benchmark::State& state) {
   const size_t kSchemas = 400;
   const Setup& setup = GetSetup(kSchemas);
   match::ExhaustiveMatcher matcher;
+  // The exact engine run (no budget) over an index built once, outside
+  // the timed loop.
+  auto prepared = index::PreparedRepository::Build(
+                      setup.collection.repository, setup.mopts.objective.name)
+                      .value();
   engine::BatchMatchOptions bopts;
   bopts.num_threads = static_cast<size_t>(state.range(0));
+  bopts.prepared_repository = &prepared;
   engine::BatchMatchEngine batch(bopts);
 
   auto direct = matcher.Match(setup.collection.query,
@@ -203,29 +215,18 @@ void BM_BatchExhaustiveMatcher(benchmark::State& state) {
 BENCHMARK(BM_BatchExhaustiveMatcher)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-void BM_SimilarityPoolBuild(benchmark::State& state) {
-  const Setup& setup = GetSetup(400);
-  for (auto _ : state) {
-    auto pool = engine::SimilarityMatrixPool::Build(
-        setup.collection.query, setup.collection.repository,
-        setup.mopts.objective, static_cast<size_t>(state.range(0)));
-    benchmark::DoNotOptimize(pool);
-  }
-}
-BENCHMARK(BM_SimilarityPoolBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// --- Sparse candidate index vs the dense pool --------------------------
+// --- Sparse candidate budgets vs the exact run --------------------------
 //
 // The prepare-once/serve-many story: BM_PreparedRepositoryBuild is the
-// one-time index cost; BM_DensePerQuery is the per-query cost of the dense
-// path (pool fill + match); BM_SparsePerQuery/C is the per-query cost of
-// candidate generation + sparse match over a prebuilt index, at candidate
-// cutoffs C ∈ {4, 16, 64}. Each sparse variant reports the recall of the
-// dense run's answers (counter "recall") and whether the dense top-1
-// answer survived (counter "top1"), so the speedup is priced in measured
-// effectiveness. Both paths run the factory-made exhaustive matcher on one
-// thread over the 200-schema collection — the only variable is the index.
+// one-time index cost; BM_DensePerQuery is the per-query cost of the exact
+// engine run (no budget: target-1.0 generation + match) over a prebuilt
+// index; BM_SparsePerQuery/C is the per-query cost of candidate generation
+// + sparse match over the same index, at candidate cutoffs C ∈ {4, 16, 64}.
+// Each sparse variant reports the recall of the direct run's answers
+// (counter "recall") and whether the direct top-1 answer survived (counter
+// "top1"), so the speedup is priced in measured effectiveness. Both run the
+// factory-made exhaustive matcher on one thread over the 200-schema
+// collection — the only variable is the candidate budget.
 
 constexpr size_t kIndexSchemas = 200;
 
@@ -278,19 +279,18 @@ void BM_SnapshotLoad(benchmark::State& state) {
 BENCHMARK(BM_SnapshotLoad)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
-// Prices one sparse engine configuration against the dense run at the
-// same options: reports the answers produced, the matcher's search states
-// ("states"), the candidate entries the index generated ("candidates" —
-// the budget), the certified completeness
-// ("bound") and the measured recall/top-1 retention of the dense answers.
+// Prices one sparse engine configuration against the direct
+// `Matcher::Match` run at the same options: reports the answers produced,
+// the matcher's search states ("states"), the candidate entries the index
+// generated ("candidates" — the budget), the certified completeness
+// ("bound") and the measured recall/top-1 retention of the direct answers.
 // Shared by the fixed-C and adaptive benchmarks.
 void ReportSparseCounters(benchmark::State& state, const Setup& setup,
                           const match::MatchOptions& mopts,
                           engine::BatchMatchEngine& batch,
                           const match::Matcher& matcher) {
-  engine::BatchMatchEngine dense_engine;
-  auto dense = dense_engine.Run(matcher, setup.collection.query,
-                                setup.collection.repository, mopts);
+  auto direct = matcher.Match(setup.collection.query,
+                              setup.collection.repository, mopts);
   engine::BatchMatchStats stats;
   auto sparse = batch.Run(matcher, setup.collection.query,
                           setup.collection.repository, mopts, &stats);
@@ -301,7 +301,7 @@ void ReportSparseCounters(benchmark::State& state, const Setup& setup,
     return false;
   };
   size_t retained = 0;
-  for (const match::Mapping& mapping : dense->mappings()) {
+  for (const match::Mapping& mapping : direct->mappings()) {
     if (in_sparse(mapping.key())) ++retained;
   }
   state.counters["answers"] = static_cast<double>(sparse->size());
@@ -310,19 +310,27 @@ void ReportSparseCounters(benchmark::State& state, const Setup& setup,
       static_cast<double>(stats.match.candidates_generated);
   state.counters["bound"] = stats.provably_complete_fraction;
   state.counters["recall"] =
-      dense->empty() ? 1.0
-                     : static_cast<double>(retained) /
-                           static_cast<double>(dense->size());
+      direct->empty() ? 1.0
+                      : static_cast<double>(retained) /
+                            static_cast<double>(direct->size());
   state.counters["top1"] =
-      (dense->empty() || in_sparse(dense->mappings().front().key())) ? 1.0
-                                                                    : 0.0;
+      (direct->empty() || in_sparse(direct->mappings().front().key()))
+          ? 1.0
+          : 0.0;
 }
 
 void BM_DensePerQuery(benchmark::State& state) {
   const Setup& setup = GetSetup(kIndexSchemas);
   auto matcher =
       match::MakeMatcher("exhaustive", setup.collection.repository).value();
-  engine::BatchMatchEngine batch;
+  // Built once, amortized over every query — outside the timed loop.
+  auto prepared = index::PreparedRepository::Build(
+                      setup.collection.repository,
+                      setup.mopts.objective.name)
+                      .value();
+  engine::BatchMatchOptions bopts;
+  bopts.prepared_repository = &prepared;
+  engine::BatchMatchEngine batch(bopts);
   size_t answers = 0;
   engine::BatchMatchStats stats;
   for (auto _ : state) {
@@ -465,7 +473,7 @@ BENCHMARK(BM_CandidateGenBlockMaxWide)->Arg(4)->Arg(16)
 // without full coverage; at loose thresholds certification degenerates to
 // full coverage and a fixed C is the right tool). Counters price the
 // comparison: "candidates" (entries generated — the budget), "bound" (the
-// certified completeness), "recall"/"top1" (measured against the dense run
+// certified completeness), "recall"/"top1" (measured against the direct run
 // at the same threshold). CI gates candidates(Fixed/64) /
 // candidates(Adaptive) ≥ 2 via tools/bench_diff.py --metric candidates.
 

@@ -11,9 +11,8 @@
 /// `ParallelFor` runs an indexed body on a few threads that claim indices
 /// off a shared counter.
 ///
-/// Batch shards, the dense similarity pool, sparse candidate generation and
-/// snapshot decoding all go through it, so a persistent worker pool would
-/// replace exactly this function.
+/// Batch shards, candidate generation and snapshot decoding all go through
+/// it, so a persistent worker pool would replace exactly this function.
 
 namespace smb {
 

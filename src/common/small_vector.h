@@ -14,8 +14,9 @@
 /// The per-name kernel arrays of `sim::PreparedName` (trigram ids, token
 /// ids, synonym groups, PEQ bitmasks) are short — a dozen entries for a
 /// typical identifier — yet a `std::vector` heap-allocates each one. With
-/// millions of prepared names per workload (index build, dense pool fill,
-/// snapshot load) those small allocations dominate the non-compute cost.
+/// millions of prepared names per workload (index build, candidate
+/// scoring, snapshot load) those small allocations dominate the
+/// non-compute cost.
 /// `SmallVector` keeps the common case in the object itself and only falls
 /// back to the heap when a name overflows the inline capacity.
 ///

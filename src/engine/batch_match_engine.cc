@@ -5,9 +5,8 @@
 #include <vector>
 
 /// \file batch_match_engine.cc
-/// \brief Sharded batch matching: dense/sparse provider setup, worker
-/// pool over schema ranges, deterministic merge, adaptive budget
-/// escalation.
+/// \brief Sharded batch matching: candidate generation over the repository
+/// index, worker pool over schema ranges, deterministic merge.
 
 #include "common/parallel.h"
 #include "common/timing.h"
@@ -55,9 +54,9 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
 
   // Matchers that refuse sharding (their per-run setup spans the whole
   // repository, e.g. ranking a clustering) get one single-threaded
-  // whole-repository run. No shared pool either — such matchers prune by
-  // their own candidate sets and would read only a sliver of a dense pool,
-  // so the lazy per-instance cache is strictly cheaper. An empty repository
+  // whole-repository run. No candidate lists either — such matchers prune
+  // by their own candidate sets and would read only a sliver of them, so
+  // the lazy per-instance cache is strictly cheaper. An empty repository
   // takes the same path purely to surface the matcher's own validation
   // error.
   if (!matcher.SupportsSharding() || repo.schema_count() == 0) {
@@ -97,101 +96,78 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
 
   local.shard_count = shards.size();
 
-  const bool adaptive = options_.adaptive.has_value();
-  const bool sparse = options_.candidate_limit > 0 || adaptive;
-
-  // Phase 1, sparse: query-independent repository index (reused when the
-  // caller prebuilt it) + per-query candidate generation — at the fixed
-  // `candidate_limit`, or bound-driven when `adaptive` is set (each cell
-  // grows until the skip-bound certifies the completeness target at this
-  // run's Δ threshold). The dense pool is skipped entirely — only
-  // generated candidates are ever scored.
+  // Phase 1: candidate lists from the query-independent repository index,
+  // reused when the caller prebuilt it. A fixed `candidate_limit` keeps the
+  // top C of every (query element, schema) cell. Otherwise generation is
+  // bound-driven: each cell grows until its skip-bound certifies the
+  // completeness target at this run's Δ threshold — `adaptive`'s target,
+  // or, for a run without a budget, 1.0 with no cap, whose lists hold
+  // every target that can reach an answer (the exhaustive run).
+  const index::PreparedRepository* prepared = options_.prepared_repository;
   std::optional<index::PreparedRepository> owned_prepared;
-  std::optional<index::QueryCandidates> candidates;
-  if (sparse) {
-    Clock::time_point start = Clock::now();
-    const index::PreparedRepository* prepared = options_.prepared_repository;
-    if (prepared == nullptr) {
-      auto built =
-          index::PreparedRepository::Build(repo, match_options.objective.name);
-      if (!built.ok()) {
-        if (stats != nullptr) *stats = local;
-        return built.status();
-      }
-      owned_prepared = std::move(built).value();
-      prepared = &*owned_prepared;
-    }
-    index::CandidateGenerator generator(prepared, match_options.objective);
-    generator.set_block_max_enabled(options_.block_max_postings);
-    // Like the dense pool, generation splits cells, not shards, so it gets
-    // the full thread count even when shards are few.
-    generator.set_num_threads(threads);
-    generator.set_name_row_cache(options_.name_row_cache);
-    Result<index::QueryCandidates> generated =
-        adaptive ? generator.GenerateAdaptive(query, *options_.adaptive,
-                                              match_options.delta_threshold,
-                                              &local.adaptive)
-                 : generator.Generate(query, options_.candidate_limit);
-    if (!generated.ok()) {
-      if (stats != nullptr) *stats = local;
-      return generated.status();
-    }
-    candidates = std::move(generated).value();
-    local.adaptive_mode = adaptive;
-    local.index_seconds = SecondsSince(start);
-    local.match.candidates_generated = candidates->candidates_generated();
-    local.match.candidates_skipped = candidates->candidates_skipped();
-    local.provably_complete_fraction =
-        candidates->ProvablyCompleteFraction(match_options.delta_threshold);
-  }
-
-  // Phase 1, dense: shared similarity precompute. Parallel across
-  // *schemas*, not shards, so it gets the full thread count even when
-  // shards are few.
-  std::optional<SimilarityMatrixPool> pool;
-  if (!sparse) {
+  if (prepared == nullptr) {
     Clock::time_point start = Clock::now();
     auto built =
-        SimilarityMatrixPool::Build(query, repo, match_options.objective,
-                                    threads);
+        index::PreparedRepository::Build(repo, match_options.objective.name);
     if (!built.ok()) {
       if (stats != nullptr) *stats = local;
       return built.status();
     }
-    pool = std::move(built).value();
+    owned_prepared = std::move(built).value();
+    prepared = &*owned_prepared;
     local.precompute_seconds = SecondsSince(start);
   }
+  Clock::time_point index_start = Clock::now();
+  index::CandidateGenerator generator(prepared, match_options.objective);
+  // Generation splits cells, not shards, so it gets the full thread count
+  // even when shards are few.
+  generator.set_num_threads(threads);
+  generator.set_name_row_cache(options_.name_row_cache);
+  const bool fixed = !options_.adaptive && options_.candidate_limit > 0;
+  Result<index::QueryCandidates> generated =
+      fixed ? generator.Generate(query, options_.candidate_limit)
+            : generator.GenerateAdaptive(
+                  query,
+                  options_.adaptive.value_or(index::AdaptiveCandidatePolicy{}),
+                  match_options.delta_threshold, &local.adaptive);
+  if (!generated.ok()) {
+    if (stats != nullptr) *stats = local;
+    return generated.status();
+  }
+  const index::QueryCandidates candidates = std::move(generated).value();
+  local.adaptive_mode = !fixed;
+  local.index_seconds = SecondsSince(index_start);
+  local.match.candidates_generated = candidates.candidates_generated();
+  local.match.candidates_skipped = candidates.candidates_skipped();
+  local.provably_complete_fraction =
+      candidates.ProvablyCompleteFraction(match_options.delta_threshold);
 
   threads = std::min(threads, shards.size());
   local.threads_used = threads;
 
   // Per-shard budget accounting: how many candidate entries the index
-  // handed to each shard (the adaptive mode's bound-driven spend, or the
-  // fixed C × cells otherwise).
-  if (candidates) {
-    local.shard_candidates_generated.assign(shards.size(), 0);
-    for (size_t i = 0; i < shards.size(); ++i) {
-      for (size_t pos = 0; pos < candidates->positions(); ++pos) {
-        for (size_t s = 0; s < shards[i].schema_count; ++s) {
-          local.shard_candidates_generated[i] +=
-              candidates
-                  ->CandidatesFor(pos, static_cast<int32_t>(
-                                           shards[i].first_schema + s))
-                  ->size();
-        }
+  // handed to each shard.
+  local.shard_candidates_generated.assign(shards.size(), 0);
+  for (size_t i = 0; i < shards.size(); ++i) {
+    for (size_t pos = 0; pos < candidates.positions(); ++pos) {
+      for (size_t s = 0; s < shards[i].schema_count; ++s) {
+        local.shard_candidates_generated[i] +=
+            candidates
+                .CandidatesFor(pos, static_cast<int32_t>(
+                                        shards[i].first_schema + s))
+                ->size();
       }
     }
   }
 
   // Phase 2: workers claim shards off a shared counter and run each range
-  // against one objective over the whole repository. The pool or the
-  // candidate lists attached to it answer every cost the matchers read, so
-  // its lazy cache is never written and the workers share it read-only.
-  // Every slot below is written by exactly one worker, so no locking is
-  // needed.
-  const match::ObjectiveFunction objective(
-      &query, &repo, match_options.objective, pool ? &*pool : nullptr,
-      candidates ? &*candidates : nullptr);
+  // against one objective over the whole repository. The candidate lists
+  // attached to it answer every cost the matchers read, so its lazy cache
+  // is never written and the workers share it read-only. Every slot below
+  // is written by exactly one worker, so no locking is needed.
+  const match::ObjectiveFunction objective(&query, &repo,
+                                           match_options.objective,
+                                           &candidates);
   std::vector<Status> shard_status(shards.size());
   std::vector<match::AnswerSet> shard_answers(shards.size());
   std::vector<match::MatchStats> shard_stats(shards.size());

@@ -81,8 +81,8 @@ struct QueryCacheStats {
 struct CachedAnswers {
   match::AnswerSet answers;
   /// The producing run's certified completeness
-  /// (`engine::BatchMatchStats::provably_complete_fraction`; 1.0 for dense
-  /// runs — the shared empty/dense convention).
+  /// (`engine::BatchMatchStats::provably_complete_fraction`; 1.0 for exact
+  /// runs — the shared empty/fallback convention).
   double provably_complete_fraction = 1.0;
 };
 

@@ -72,10 +72,11 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
   sparse_opts.prepared_repository = &prepared;
   engine::BatchMatchEngine sparse_engine(sparse_opts);
 
+  // The dense run is the exact one (no budget: target 1.0) over the same
+  // index.
   engine::BatchMatchOptions dense_opts = sparse_opts;
   dense_opts.candidate_limit = 0;
   dense_opts.adaptive.reset();
-  dense_opts.prepared_repository = nullptr;
   engine::BatchMatchEngine dense_engine(dense_opts);
 
   result.answers.reserve(problems.size());

@@ -23,8 +23,9 @@
 /// query-independent repository index, prepared by the caller, is amortized
 /// over every query, each served through the batch engine's sparse candidate
 /// path. Per-query latency and — optionally — recall against the dense
-/// (index-free) run of the same matcher are reported, so the candidate
-/// cutoff C becomes a measurable S2 knob for the bounds pipeline.
+/// (exact: target 1.0, no budget) run of the same matcher over the same
+/// index are reported, so the candidate cutoff C becomes a measurable S2
+/// knob for the bounds pipeline.
 
 namespace smb::eval {
 
@@ -69,8 +70,9 @@ struct IndexedWorkloadOptions {
   /// threads, shard size and top-k. `prepared_repository` is ignored: the
   /// run always uses the index passed to `RunIndexedWorkload`.
   engine::BatchMatchOptions engine_options;
-  /// Also run each query through the dense path and report recall of the
-  /// dense answers (and of the dense top-1) in the sparse answer set.
+  /// Also run each query through the exact engine run (no budget: target
+  /// 1.0 over the same index) and report recall of these dense answers
+  /// (and of the dense top-1) in the sparse answer set.
   bool compare_dense = false;
 };
 

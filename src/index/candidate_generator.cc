@@ -405,8 +405,8 @@ class GenerationEngine {
       }
     }
 
-    // Exact scoring — the same ComputeNodeCost over prepared names the
-    // dense pool runs, so kept candidate costs are bit-identical to its.
+    // Exact scoring — ComputeNodeCost over prepared names, so kept
+    // candidate costs are bit-identical to the lazy objective's.
     // The loop maintains the C cheapest (cost, node) in a max-heap; once
     // the list is full, the current C-th cost feeds the threshold-aware
     // kernel, which drops provably-worse candidates after its cheap

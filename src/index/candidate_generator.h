@@ -20,7 +20,7 @@
 /// retrieves elements through the `PreparedRepository` postings (tokens,
 /// synonym groups, exact/synonym name buckets, trigrams), scores the
 /// retrieved set with the *exact* objective node cost (`ComputeNodeCost`
-/// over prepared names — bit-identical to the dense pool), and keeps the C
+/// over prepared names — bit-identical to the lazy path), and keeps the C
 /// cheapest. Cells short of C are padded with unretrieved elements (same
 /// declared type first, then node order) so every cell offers
 /// min(C, |schema|) candidates; with C ≥ |schema| every cell is complete
@@ -332,7 +332,7 @@ class CandidateGenerator {
   /// its cap. Retrieval runs once per query position and is reused across
   /// rounds, and so are the exact costs of an escalated cell's entries;
   /// scoring reuses the same max-heap/cutoff machinery as `Generate`, so
-  /// kept candidate costs stay bit-identical to the dense pool's. When no
+  /// kept candidate costs stay bit-identical to `ComputeNodeCost`. When no
   /// list short of its whole schema can certify at `delta_threshold`, the
   /// rounds are planned from the schema sizes and every cell is scored
   /// once, full-coverage cells by the name-row gather (see the file

@@ -18,14 +18,14 @@
 /// \brief Query-independent repository index: prepared names, inverted
 /// postings and type buckets, built once and shared by every query.
 ///
-/// The dense engine path recomputes one full query×repository cost matrix
-/// per query — O(|query|·Σ|schema|) composite name distances every time,
-/// even though the repository side never changes. This index moves all
+/// Scoring every node directly recomputes one full query×repository cost
+/// matrix per query — O(|query|·Σ|schema|) composite name distances every
+/// time, even though the repository side never changes. This index moves all
 /// query-independent work to a one-time build:
 ///
 ///  * every element's name is folded and tokenized once
-///    (`sim::PreparedName`, the same fast path the dense pool uses — costs
-///    computed over the index are bit-identical to the pool's);
+///    (`sim::PreparedName` — costs computed over the index are
+///    bit-identical to `match::ComputeNodeCost`'s);
 ///  * a token inverted index (plus synonym-group postings) finds elements
 ///    sharing an identifier word with a query element in O(postings);
 ///  * a padded-trigram inverted index with per-element multiplicities finds
@@ -92,7 +92,7 @@ struct PreparedElement {
   schema::NodeId node = schema::kInvalidNode;
   /// Folded + tokenized + kernel-compiled name: interned gram/token ids,
   /// synonym groups and PEQ bitmasks, interned against the repository's
-  /// shared `TokenTable` (bit-compatible with the dense pool's path).
+  /// shared `TokenTable` (bit-compatible with `sim::PrepareName`).
   sim::PreparedName name;
   /// |ExtractNgrams(name.folded, 3)| — the Dice denominator contribution.
   uint32_t trigram_count = 0;

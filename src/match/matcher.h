@@ -44,7 +44,7 @@ struct MatchStats {
   /// into it can be within budget (the schema skip).
   uint64_t states_pruned = 0;
   /// Candidate entries produced by the repository index for this run
-  /// (Σ per-(position, schema) list sizes); 0 on dense runs. Filled by the
+  /// (Σ per-(position, schema) list sizes); 0 on direct runs. Filled by the
   /// layer that built the candidate lists (engine / workload), not by the
   /// matchers themselves.
   uint64_t candidates_generated = 0;

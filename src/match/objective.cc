@@ -77,12 +77,10 @@ NodeCostCutoff ComputeNodeCostWithCutoff(sim::BlockScorer& scorer,
 ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
                                      const schema::SchemaRepository* repo,
                                      ObjectiveOptions options,
-                                     const NodeCostProvider* node_costs,
                                      const CandidateProvider* candidates)
     : query_(query),
       repo_(repo),
       options_(std::move(options)),
-      node_costs_(node_costs),
       candidates_(candidates) {
   assert(query_ != nullptr && repo_ != nullptr);
   preorder_ = query_->PreOrder();
@@ -110,11 +108,6 @@ ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
 double ObjectiveFunction::NodeCost(size_t pos, int32_t schema_index,
                                    schema::NodeId target) const {
   const schema::Schema& s = repo_->schema(schema_index);
-  if (node_costs_ != nullptr) {
-    if (const double* matrix = node_costs_->NodeCostMatrix(schema_index)) {
-      return matrix[pos * s.size() + static_cast<size_t>(target)];
-    }
-  }
   auto& schema_cache = cache_[static_cast<size_t>(schema_index)];
   if (schema_cache.empty()) {
     schema_cache.assign(preorder_.size() * s.size(), -1.0);

@@ -64,20 +64,20 @@ struct ObjectiveOptions {
 
 /// \brief Name+type cost of assigning query node `q` to target node `t`.
 /// In [0, 1]. The one formula shared by the lazy per-instance cache and the
-/// precomputed engine::SimilarityMatrixPool — both must rank identically.
+/// candidate generator — both must rank identically.
 double ComputeNodeCost(const schema::SchemaNode& q, const schema::SchemaNode& t,
                        const ObjectiveOptions& options);
 
-/// \brief Same cost over pre-folded/pre-tokenized names — the dense
-/// precompute fast path. `qp`/`tp` must be `sim::PrepareName` of
+/// \brief Same cost over pre-folded/pre-tokenized names — the candidate
+/// generator's fast path. `qp`/`tp` must be `sim::PrepareName` of
 /// `q.name`/`t.name` under `options.name`.
 double ComputeNodeCost(const schema::SchemaNode& q, const sim::PreparedName& qp,
                        const schema::SchemaNode& t, const sim::PreparedName& tp,
                        const ObjectiveOptions& options);
 
 /// \brief The type-agreement adjustment of the node cost, exposed so
-/// kernel-driven fills (engine::SimilarityMatrixPool's BlockScorer loop)
-/// can turn a raw name similarity into the full node cost with the exact
+/// kernel-driven fills (the candidate generator's BlockScorer loops) can
+/// turn a raw name similarity into the full node cost with the exact
 /// same expression: `min(1, cost + type_mismatch_penalty)` on a declared
 /// type mismatch, `cost` otherwise.
 double ApplyTypePenalty(double cost, const schema::SchemaNode& q,
@@ -124,37 +124,20 @@ NodeCostCutoff ComputeNodeCostWithCutoff(sim::BlockScorer& scorer,
                                          const ObjectiveOptions& options,
                                          double max_cost);
 
-/// \brief Source of precomputed node-cost matrices shared across matchers
-/// and threads (implemented by engine::SimilarityMatrixPool).
-///
-/// A provider hands out one immutable row-major matrix per repository
-/// schema: `matrix[pos * schema_size + node]` is the name+type cost of
-/// assigning query pre-order position `pos` to `node`. Implementations must
-/// be safe for concurrent reads.
-class NodeCostProvider {
- public:
-  virtual ~NodeCostProvider() = default;
-
-  /// The matrix for `schema_index`, or nullptr to make the objective fall
-  /// back to its lazy per-instance cache for that schema.
-  virtual const double* NodeCostMatrix(int32_t schema_index) const = 0;
-};
-
 /// \brief One retrieved candidate target with its exact name+type cost.
 ///
 /// The cost is produced by `ComputeNodeCost` over prepared names, so it is
-/// bit-identical to what the dense pool / lazy cache would compute for the
-/// same pair — iterating candidates never changes a Δ, it only restricts
-/// which targets are considered.
+/// bit-identical to what the lazy cache would compute for the same pair —
+/// iterating candidates never changes a Δ, it only restricts which targets
+/// are considered.
 struct CandidateEntry {
   schema::NodeId node = schema::kInvalidNode;
   /// Exact name+type node cost in [0, 1].
   double cost = 0.0;
 };
 
-/// \brief Sparse counterpart of `NodeCostProvider`: per query position and
-/// repository schema, the small set of target nodes worth scoring
-/// (implemented by index::QueryCandidates).
+/// \brief Per query position and repository schema, the set of target nodes
+/// worth scoring (implemented by index::QueryCandidates).
 ///
 /// Matchers holding a provider iterate the returned lists instead of every
 /// node of every schema — the non-exhaustive S2 restriction of the search
@@ -181,24 +164,20 @@ class CandidateProvider {
 
 /// \brief Evaluates Δ for mappings of one query schema into one repository.
 ///
-/// Name costs come from an attached `NodeCostProvider` when one is given;
-/// otherwise they are cached lazily per (query element, repository element)
+/// Name costs are cached lazily per (query element, repository element)
 /// inside the instance. Only `NodeCost` (and `AssignCost` / `Delta`, which
-/// call it) writes that cache. With a `NodeCostProvider` attached, or with a
-/// `CandidateProvider` attached and node costs read only from its lists (as
-/// the enumerating matchers do), the instance is never written after
-/// construction and is safe for concurrent reads: the batch engine shares
-/// one per run across its worker threads. Without either, it is *not*
-/// thread-safe.
+/// call it) writes that cache. With a `CandidateProvider` attached and node
+/// costs read only from its lists (as the enumerating matchers do), the
+/// instance is never written after construction and is safe for concurrent
+/// reads: the batch engine shares one per run across its worker threads.
+/// Without one, it is *not* thread-safe.
 class ObjectiveFunction {
  public:
-  /// `query`, `repo`, `node_costs` and `candidates` (when non-null) must
-  /// outlive the objective, and the providers must index schemas the way
-  /// `repo` does.
+  /// `query`, `repo` and `candidates` (when non-null) must outlive the
+  /// objective, and the provider must index schemas the way `repo` does.
   ObjectiveFunction(const schema::Schema* query,
                     const schema::SchemaRepository* repo,
                     ObjectiveOptions options = {},
-                    const NodeCostProvider* node_costs = nullptr,
                     const CandidateProvider* candidates = nullptr);
 
   /// Query elements in pre-order (position 0 is the root).
@@ -233,13 +212,14 @@ class ObjectiveFunction {
                     schema::NodeId parent_target) const;
 
   /// \brief Same contribution when the name+type node cost is already known
-  /// (the sparse candidate path: `CandidateEntry::cost` is exact, so going
-  /// through the dense matrix / lazy cache again would be wasted work).
+  /// (the candidate path: `CandidateEntry::cost` is exact, so going through
+  /// the lazy cache again would be wasted work).
   double AssignCostWithNodeCost(int32_t schema_index, schema::NodeId target,
                                 schema::NodeId parent_target,
                                 double node_cost) const;
 
-  /// Sparse candidate lists attached to this objective (nullptr = dense).
+  /// Candidate lists attached to this objective (nullptr = every node,
+  /// costs from the lazy cache).
   const CandidateProvider* candidates() const { return candidates_; }
 
   /// Denominator of the weighted mean: `w_n·m + w_s·(m−1)`.
@@ -257,12 +237,11 @@ class ObjectiveFunction {
   const schema::Schema* query_;
   const schema::SchemaRepository* repo_;
   ObjectiveOptions options_;
-  const NodeCostProvider* node_costs_ = nullptr;
   const CandidateProvider* candidates_ = nullptr;
   std::vector<schema::NodeId> preorder_;
   std::vector<size_t> parent_position_;
   double normalizer_ = 1.0;
-  /// Lazy fallback when no provider is attached:
+  /// Lazy node costs:
   /// cache_[schema_index][pos * schema_size + node] = node cost; empty until
   /// the schema is first touched.
   mutable std::vector<std::vector<double>> cache_;

@@ -66,7 +66,7 @@ struct SettingName {
 const std::vector<SettingName>& ServiceSettingNames();
 
 /// \brief Parses the service flags of `cl`. Absent flags keep their value
-/// in `defaults` (`match` passes C = 0: a dense run unless asked).
+/// in `defaults` (`match` passes C = 0: an exact run unless asked).
 Result<ServiceSpec> ParseServiceSpec(const CommandLine& cl,
                                      ServiceSpec defaults = ServiceSpec());
 

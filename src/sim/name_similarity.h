@@ -41,7 +41,7 @@ class TokenTable;  // prepared_kernel.h — token-id interner
 /// \brief A name case-folded, tokenized and compiled once, for batch
 /// scoring.
 ///
-/// Scoring one name against many (the dense similarity-matrix precompute)
+/// Scoring one name against many (candidate generation, name rows)
 /// re-folds and re-tokenizes each side per pair when the string_view API is
 /// used; preparing each side once instead makes the per-pair work pure
 /// comparison. Produces bit-identical scores to the string_view overloads.
@@ -56,7 +56,7 @@ struct PreparedName {
   /// up to `kInlineGrams - 2` characters produces that many padded
   /// trigrams and at most as many distinct PEQ characters). Longer names
   /// spill to the heap transparently. Millions of these are built per
-  /// workload — index build, dense pool fill, snapshot load — so the
+  /// workload — index build, candidate scoring, snapshot load — so the
   /// allocation count is the dominant non-compute cost.
   static constexpr size_t kInlineGrams = 20;
   static constexpr size_t kInlineTokens = 6;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "index/candidate_generator.h"
+#include "index/prepared_repository.h"
 #include "match/beam_matcher.h"
 #include "match/cluster_matcher.h"
 #include "match/exhaustive_matcher.h"
+#include "match/matcher_factory.h"
 #include "match/topk_matcher.h"
 #include "synth/generator.h"
 #include "../testing/fixtures.h"
@@ -123,6 +126,11 @@ TEST(BatchMatchEngineTest, NonShardableMatcherFallsBackAndAgrees) {
                             mopts, &stats);
   ASSERT_TRUE(batched.ok()) << batched.status();
   EXPECT_TRUE(stats.fell_back_to_single_run);
+  // A direct run: no index, no candidate lists.
+  EXPECT_EQ(stats.precompute_seconds, 0.0);
+  EXPECT_EQ(stats.index_seconds, 0.0);
+  EXPECT_EQ(stats.match.candidates_generated, 0u);
+  EXPECT_TRUE(stats.shard_candidates_generated.empty());
   ExpectSameAnswers(*batched, *reference);
 }
 
@@ -130,9 +138,22 @@ TEST(BatchMatchEngineTest, StatsMatchSingleThreadedRun) {
   synth::SyntheticCollection collection = MakeLargeCollection();
   match::MatchOptions mopts;
   match::ExhaustiveMatcher matcher;
-  match::MatchStats direct_stats;
-  auto reference = matcher.Match(collection.query, collection.repository,
-                                 mopts, &direct_stats);
+  // The engine's exact run reads target-1.0 candidate lists, so its work
+  // is that of one whole-repository run over the same lists.
+  auto prepared = index::PreparedRepository::Build(collection.repository,
+                                                   mopts.objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto candidates =
+      index::CandidateGenerator(&*prepared, mopts.objective)
+          .GenerateAdaptive(collection.query, index::AdaptiveCandidatePolicy{},
+                            mopts.delta_threshold);
+  ASSERT_TRUE(candidates.ok()) << candidates.status();
+  const match::ObjectiveFunction objective(
+      &collection.query, &collection.repository, mopts.objective,
+      &*candidates);
+  match::MatchStats whole_stats;
+  auto reference =
+      testing::MatchWithObjective(matcher, objective, mopts, &whole_stats);
   ASSERT_TRUE(reference.ok()) << reference.status();
 
   BatchMatchOptions bopts;
@@ -142,11 +163,14 @@ TEST(BatchMatchEngineTest, StatsMatchSingleThreadedRun) {
   auto batched = engine.Run(matcher, collection.query, collection.repository,
                             mopts, &stats);
   ASSERT_TRUE(batched.ok()) << batched.status();
+  ExpectSameAnswers(*batched, *reference);
   // The shards partition the per-schema work exactly, so the accumulated
-  // counters equal the single-threaded run's.
-  EXPECT_EQ(stats.match.states_explored, direct_stats.states_explored);
-  EXPECT_EQ(stats.match.mappings_emitted, direct_stats.mappings_emitted);
-  EXPECT_EQ(stats.match.states_pruned, direct_stats.states_pruned);
+  // counters equal the whole run's.
+  EXPECT_EQ(stats.match.states_explored, whole_stats.states_explored);
+  EXPECT_EQ(stats.match.mappings_emitted, whole_stats.mappings_emitted);
+  EXPECT_EQ(stats.match.states_pruned, whole_stats.states_pruned);
+  EXPECT_EQ(stats.match.candidates_generated,
+            candidates->candidates_generated());
   EXPECT_GE(stats.shard_count, 1u);
   EXPECT_GE(stats.threads_used, 1u);
   EXPECT_FALSE(stats.fell_back_to_single_run);
@@ -178,23 +202,65 @@ TEST(BatchMatchEngineTest, EmptyRepositoryErrorsLikeDirectRun) {
   EXPECT_EQ(batched.status().code(), direct.status().code());
 }
 
-TEST(BatchMatchEngineTest, MatcherWithProviderAgreesWithoutProvider) {
-  // A matcher run over an objective with the pool attached directly (no
-  // engine) must produce the same answers as the plain lazy-cache run.
-  schema::Schema query = MakeQuery();
-  schema::SchemaRepository repo = MakeRepo();
-  match::MatchOptions mopts;
-  auto pool = SimilarityMatrixPool::Build(query, repo, mopts.objective);
-  ASSERT_TRUE(pool.ok()) << pool.status();
+/// An engine run without a budget is the exact run: target-1.0 candidate
+/// lists over the repository index, built by the engine or handed to it.
+/// For every shard-safe matcher, thread count, shard size and injectivity
+/// its answers equal the direct `Matcher::Match` run byte for byte, and
+/// every cell is certified.
+class ExactRunTest : public ::testing::TestWithParam<const char*> {};
 
-  match::ExhaustiveMatcher matcher;
-  auto lazy = matcher.Match(query, repo, mopts);
-  ASSERT_TRUE(lazy.ok()) << lazy.status();
-  match::ObjectiveFunction with_pool(&query, &repo, mopts.objective, &*pool);
-  auto shared = testing::MatchWithObjective(matcher, with_pool, mopts);
-  ASSERT_TRUE(shared.ok()) << shared.status();
-  ExpectSameAnswers(*shared, *lazy);
+TEST_P(ExactRunTest, NoBudgetEqualsTheDirectRun) {
+  synth::SyntheticCollection collection = MakeLargeCollection();
+  static const sim::SynonymTable kTable = sim::SynonymTable::Builtin();
+  auto matcher = match::MakeMatcher(GetParam(), collection.repository);
+  ASSERT_TRUE(matcher.ok()) << matcher.status();
+  size_t nonempty = 0;
+  for (bool injective : {true, false}) {
+    match::MatchOptions mopts;
+    mopts.delta_threshold = 0.25;
+    mopts.injective = injective;
+    mopts.objective.name.synonyms = &kTable;
+    auto direct =
+        (*matcher)->Match(collection.query, collection.repository, mopts);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    if (!direct->empty()) ++nonempty;
+    auto prepared = index::PreparedRepository::Build(collection.repository,
+                                                     mopts.objective.name);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (size_t shard_size : {1u, 7u, 0u}) {
+        for (bool prebuilt : {false, true}) {
+          BatchMatchOptions bopts;
+          bopts.num_threads = threads;
+          bopts.shard_size = shard_size;
+          if (prebuilt) bopts.prepared_repository = &*prepared;
+          BatchMatchStats stats;
+          auto batched = BatchMatchEngine(bopts).Run(
+              **matcher, collection.query, collection.repository, mopts,
+              &stats);
+          ASSERT_TRUE(batched.ok()) << batched.status();
+          SCOPED_TRACE(std::string(GetParam()) +
+                       " injective=" + std::to_string(injective) +
+                       " threads=" + std::to_string(threads) +
+                       " shard_size=" + std::to_string(shard_size) +
+                       " prebuilt=" + std::to_string(prebuilt));
+          ExpectSameAnswers(*batched, *direct);
+          EXPECT_EQ(stats.provably_complete_fraction, 1.0);
+          EXPECT_TRUE(stats.adaptive_mode);
+          EXPECT_FALSE(stats.fell_back_to_single_run);
+          // Only the engine's own index build counts as precompute.
+          if (prebuilt) {
+            EXPECT_EQ(stats.precompute_seconds, 0.0);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(nonempty, 2u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Matchers, ExactRunTest,
+                         ::testing::Values("exhaustive", "beam", "topk"));
 
 }  // namespace
 }  // namespace smb::engine

@@ -143,7 +143,7 @@ TEST(EngineEdgeCasesTest, ZeroCandidateCellsYieldNoAnswersAndCleanStats) {
   EmptyCandidateProvider provider;
   match::MatchOptions options;
   match::ObjectiveFunction objective(&query, &repo, options.objective,
-                                     nullptr, &provider);
+                                     &provider);
   match::ExhaustiveMatcher exhaustive;
   match::TopKMatcher topk(match::TopKMatcherOptions{5, 0});
   for (const match::Matcher* matcher :
@@ -171,7 +171,7 @@ TEST(EngineEdgeCasesTest, GeneratorRejectsEmptyQueryAndZeroLimit) {
 TEST(EngineEdgeCasesTest, SingleElementShardsSurviveTheMerge) {
   // One shard per schema on several threads: every merge path (index
   // translation, stats accumulation, completeness fraction) runs on the
-  // smallest possible shards, for both the dense and the sparse phase.
+  // smallest possible shards, for both the exact and the fixed-C run.
   schema::Schema query = MakeQuery();
   schema::SchemaRepository repo = MakeRepo();
   match::TopKMatcher matcher(match::TopKMatcherOptions{10, 0});

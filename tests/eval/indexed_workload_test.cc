@@ -191,20 +191,24 @@ TEST(IndexedWorkloadTest, AdaptiveModeReportsBudgetAndCertifiedBound) {
 TEST(IndexedWorkloadTest, CompletenessConventionIsOneEverywhere) {
   // Regression: QueryRunReport used to default provably_complete_fraction
   // to 0.0 while engine::BatchMatchStats used 1.0. The unified convention
-  // is 1.0 — an empty / dense run skipped nothing, so completeness holds
-  // vacuously — in both structs and in what a dense engine run reports.
+  // is 1.0 — an empty run, or the engine's direct run without candidate
+  // lists, skipped nothing, so completeness holds vacuously — in both
+  // structs and in what such an engine run reports.
   EXPECT_EQ(QueryRunReport{}.provably_complete_fraction, 1.0);
   EXPECT_EQ(engine::BatchMatchStats{}.provably_complete_fraction, 1.0);
 
   WorkloadSetup setup = MakeSetup();
-  auto matcher = match::MakeMatcher("exhaustive", setup.repo);
+  // Cluster refuses sharding, so the engine falls back to the direct
+  // `Matcher::Match` run.
+  auto matcher = match::MakeMatcher("cluster", setup.repo);
   ASSERT_TRUE(matcher.ok()) << matcher.status();
-  engine::BatchMatchEngine dense_engine;  // no candidate limit: dense
+  engine::BatchMatchEngine direct_engine;
   engine::BatchMatchStats stats;
   stats.provably_complete_fraction = -7.0;  // must be overwritten
-  auto run = dense_engine.Run(**matcher, setup.problems[0].query, setup.repo,
-                              setup.options, &stats);
+  auto run = direct_engine.Run(**matcher, setup.problems[0].query,
+                               setup.repo, setup.options, &stats);
   ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(stats.fell_back_to_single_run);
   EXPECT_EQ(stats.provably_complete_fraction, 1.0);
 }
 

@@ -161,8 +161,7 @@ TEST(AdaptiveCandidateTest, CertifiedSchemasKeepDenseAnswersExactly) {
       EXPECT_GE(stats.achieved_completeness, 0.8);
 
       match::ObjectiveFunction sparse_objective(
-          &setup.query, &setup.repo, setup.options.objective, nullptr,
-          &*candidates);
+          &setup.query, &setup.repo, setup.options.objective, &*candidates);
       auto sparse = smb::testing::MatchWithObjective(
           *matcher, sparse_objective, setup.options);
       ASSERT_TRUE(sparse.ok()) << sparse.status();

@@ -4,8 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "engine/batch_match_engine.h"
-#include "engine/similarity_matrix_pool.h"
 #include "index/candidate_generator.h"
 #include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
@@ -20,9 +18,9 @@
 /// so it must select exactly the same candidates — same nodes, bit-equal
 /// costs — at every limit; only the skip-bound may differ (downward, from
 /// the tighter skipped-Dice cap) and it must stay admissible against the
-/// dense pool. These tests pin that contract on the handcrafted fixture,
-/// on synthetic collections across seeds and limits, and end-to-end
-/// through the batch engine.
+/// exact node costs. These tests pin that contract on the handcrafted
+/// fixture, on synthetic collections across seeds and limits, and
+/// end-to-end through a matcher reading the lists.
 
 namespace smb::index {
 namespace {
@@ -104,13 +102,12 @@ void ExpectEquivalent(const QueryCandidates& classic,
 
 /// Admissibility of the block-max skip-bound, checked the hard way:
 /// every node missing from a cell's list must truly cost at least the
-/// bound (dense pool as ground truth).
+/// bound (`match::ComputeNodeCost` as ground truth).
 void CheckBoundAdmissible(const schema::Schema& query,
                           const schema::SchemaRepository& repo,
                           const match::ObjectiveOptions& objective,
                           const QueryCandidates& candidates) {
-  auto pool = engine::SimilarityMatrixPool::Build(query, repo, objective);
-  ASSERT_TRUE(pool.ok()) << pool.status();
+  const std::vector<schema::NodeId> preorder = query.PreOrder();
   for (size_t pos = 0; pos < candidates.positions(); ++pos) {
     for (int32_t si = 0; si < static_cast<int32_t>(repo.schema_count());
          ++si) {
@@ -128,7 +125,9 @@ void CheckBoundAdmissible(const schema::Schema& query,
       }
       for (size_t n = 0; n < s.size(); ++n) {
         if (listed[n]) continue;
-        EXPECT_GE(pool->cost(pos, si, static_cast<schema::NodeId>(n)),
+        EXPECT_GE(match::ComputeNodeCost(
+                      query.node(preorder[pos]),
+                      s.node(static_cast<schema::NodeId>(n)), objective),
                   bound - 1e-12)
             << "inadmissible block-max bound: pos " << pos << " schema "
             << si << " node " << n;
@@ -255,30 +254,32 @@ TEST(BlockMaxTest, AdaptiveBlockMaxStillReproducesDenseAtFullTarget) {
   CheckBoundAdmissible(setup.query, setup.repo, objective, *candidates);
 }
 
-TEST(BlockMaxTest, EngineAnswersIdenticalWithAndWithoutBlockMax) {
+TEST(BlockMaxTest, MatchAnswersIdenticalWithAndWithoutBlockMax) {
   GeneratedSetup setup = MakeSynthetic(30, 11);
   match::MatchOptions mopts;
   mopts.delta_threshold = 0.3;
   mopts.objective = SynonymObjective();
   auto prepared = PreparedRepository::Build(setup.repo, mopts.objective.name);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
+  CandidateGenerator classic(&*prepared, mopts.objective);
+  classic.set_block_max_enabled(false);
+  CandidateGenerator block_max(&*prepared, mopts.objective);
+  auto classic_lists = classic.Generate(setup.query, 6);
+  auto block_max_lists = block_max.Generate(setup.query, 6);
+  ASSERT_TRUE(classic_lists.ok()) << classic_lists.status();
+  ASSERT_TRUE(block_max_lists.ok()) << block_max_lists.status();
 
   for (const char* kind : {"exhaustive", "topk"}) {
     auto matcher = match::MakeMatcher(kind, setup.repo);
     ASSERT_TRUE(matcher.ok()) << matcher.status();
-
-    engine::BatchMatchOptions bopts;
-    bopts.candidate_limit = 6;
-    bopts.prepared_repository = &*prepared;
-    bopts.block_max_postings = false;
-    engine::BatchMatchEngine classic(bopts);
-    bopts.block_max_postings = true;
-    engine::BatchMatchEngine block_max(bopts);
-
-    engine::BatchMatchStats stats_a, stats_b;
-    auto a = classic.Run(**matcher, setup.query, setup.repo, mopts, &stats_a);
-    auto b =
-        block_max.Run(**matcher, setup.query, setup.repo, mopts, &stats_b);
+    const match::ObjectiveFunction classic_objective(
+        &setup.query, &setup.repo, mopts.objective, &*classic_lists);
+    const match::ObjectiveFunction block_max_objective(
+        &setup.query, &setup.repo, mopts.objective, &*block_max_lists);
+    auto a =
+        smb::testing::MatchWithObjective(**matcher, classic_objective, mopts);
+    auto b = smb::testing::MatchWithObjective(**matcher, block_max_objective,
+                                              mopts);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
     ASSERT_EQ(a->size(), b->size()) << kind;
@@ -289,9 +290,9 @@ TEST(BlockMaxTest, EngineAnswersIdenticalWithAndWithoutBlockMax) {
       EXPECT_EQ(ma.targets, mb.targets);
       EXPECT_EQ(ma.delta, mb.delta);  // bit-identical Δ
     }
-    EXPECT_EQ(stats_a.match.candidates_generated,
-              stats_b.match.candidates_generated);
   }
+  EXPECT_EQ(classic_lists->candidates_generated(),
+            block_max_lists->candidates_generated());
 }
 
 TEST(BlockMaxTest, BlockMetadataCoversEveryPostingAdmissibly) {

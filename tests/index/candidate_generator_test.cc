@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "engine/similarity_matrix_pool.h"
 #include "index/prepared_repository.h"
 #include "synth/generator.h"
 #include "../testing/fixtures.h"
@@ -47,15 +46,13 @@ size_t MaxSchemaSize(const schema::SchemaRepository& repo) {
   return max_size;
 }
 
-/// Every candidate cost must reproduce the dense pool's cost exactly, and
+/// Every candidate cost must reproduce the lazy objective's cost exactly, and
 /// every skipped node's true cost must respect the skip-bound.
-void CheckAgainstDensePool(const schema::Schema& query,
+void CheckAgainstNodeCosts(const schema::Schema& query,
                            const schema::SchemaRepository& repo,
                            const match::ObjectiveOptions& objective,
                            const QueryCandidates& candidates) {
-  auto pool =
-      engine::SimilarityMatrixPool::Build(query, repo, objective);
-  ASSERT_TRUE(pool.ok()) << pool.status();
+  const match::ObjectiveFunction lazy(&query, &repo, objective);
 
   for (size_t pos = 0; pos < candidates.positions(); ++pos) {
     for (int32_t si = 0; si < static_cast<int32_t>(repo.schema_count());
@@ -73,8 +70,8 @@ void CheckAgainstDensePool(const schema::Schema& query,
         EXPECT_FALSE(listed[static_cast<size_t>(entry.node)])
             << "duplicate candidate";
         listed[static_cast<size_t>(entry.node)] = true;
-        // Bit-identical to the dense matrix.
-        EXPECT_EQ(entry.cost, pool->cost(pos, si, entry.node))
+        // Bit-identical to the lazy path.
+        EXPECT_EQ(entry.cost, lazy.NodeCost(pos, si, entry.node))
             << "pos " << pos << " schema " << si << " node " << entry.node;
         EXPECT_GE(entry.cost, previous_cost) << "list not sorted by cost";
         previous_cost = entry.cost;
@@ -88,7 +85,7 @@ void CheckAgainstDensePool(const schema::Schema& query,
       for (size_t n = 0; n < s.size(); ++n) {
         if (listed[n]) continue;
         const auto node = static_cast<schema::NodeId>(n);
-        EXPECT_GE(pool->cost(pos, si, node), bound - 1e-12)
+        EXPECT_GE(lazy.NodeCost(pos, si, node), bound - 1e-12)
             << "inadmissible skip-bound: pos " << pos << " schema " << si
             << " node " << n;
       }
@@ -96,7 +93,7 @@ void CheckAgainstDensePool(const schema::Schema& query,
   }
 }
 
-TEST(CandidateGeneratorTest, SmallRepoCandidatesMatchPoolAndBoundHolds) {
+TEST(CandidateGeneratorTest, SmallRepoCandidatesMatchCostsAndBoundHolds) {
   schema::Schema query = MakeQuery();
   schema::SchemaRepository repo = MakeRepo();
   match::ObjectiveOptions objective = SynonymObjective();
@@ -107,11 +104,11 @@ TEST(CandidateGeneratorTest, SmallRepoCandidatesMatchPoolAndBoundHolds) {
   for (size_t limit : {1u, 2u, 4u, 100u}) {
     auto candidates = generator.Generate(query, limit);
     ASSERT_TRUE(candidates.ok()) << candidates.status();
-    CheckAgainstDensePool(query, repo, objective, *candidates);
+    CheckAgainstNodeCosts(query, repo, objective, *candidates);
   }
 }
 
-TEST(CandidateGeneratorTest, SyntheticRepoCandidatesMatchPoolAndBoundHolds) {
+TEST(CandidateGeneratorTest, SyntheticRepoCandidatesMatchCostsAndBoundHolds) {
   GeneratedSetup setup = MakeSynthetic(40, 77);
   match::ObjectiveOptions objective = SynonymObjective();
   auto prepared = PreparedRepository::Build(setup.repo, objective.name);
@@ -121,7 +118,7 @@ TEST(CandidateGeneratorTest, SyntheticRepoCandidatesMatchPoolAndBoundHolds) {
   for (size_t limit : {3u, 8u, 64u}) {
     auto candidates = generator.Generate(setup.query, limit);
     ASSERT_TRUE(candidates.ok()) << candidates.status();
-    CheckAgainstDensePool(setup.query, setup.repo, objective, *candidates);
+    CheckAgainstNodeCosts(setup.query, setup.repo, objective, *candidates);
   }
 }
 
@@ -188,7 +185,7 @@ TEST(CandidateGeneratorTest, SingleNodeSchemasAndNoTokenNames) {
   schema::Schema query = MakeQuery();
   auto candidates = generator.Generate(query, 1);
   ASSERT_TRUE(candidates.ok()) << candidates.status();
-  CheckAgainstDensePool(query, repo, objective, *candidates);
+  CheckAgainstNodeCosts(query, repo, objective, *candidates);
 }
 
 TEST(CandidateGeneratorTest, CutoffPruningNeverChangesEntriesOrAdmissibility) {
@@ -196,7 +193,7 @@ TEST(CandidateGeneratorTest, CutoffPruningNeverChangesEntriesOrAdmissibility) {
   // lists: pruning may only drop work whose exact cost provably cannot
   // enter the top-C. Skip-bounds may differ (a pruned candidate
   // contributes a lower bound instead of its exact cost) but only
-  // downward — and they stay admissible, which CheckAgainstDensePool
+  // downward — and they stay admissible, which CheckAgainstNodeCosts
   // already proves for the default (cutoff-enabled) generator above.
   GeneratedSetup setup = MakeSynthetic(30, 99);
   match::ObjectiveOptions objective = SynonymObjective();

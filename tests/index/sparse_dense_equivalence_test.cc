@@ -76,7 +76,7 @@ TEST_P(SparseDenseEquivalenceTest, FullLimitReproducesDenseAnswers) {
   ASSERT_TRUE(candidates.ok()) << candidates.status();
 
   match::ObjectiveFunction sparse_objective(&setup.query, &setup.repo,
-                                            setup.options.objective, nullptr,
+                                            setup.options.objective,
                                             &*candidates);
   auto sparse = smb::testing::MatchWithObjective(**matcher, sparse_objective,
                                                  setup.options);

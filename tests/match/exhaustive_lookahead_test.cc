@@ -16,7 +16,6 @@
 
 #include "dfs_oracle.h"
 #include "engine/batch_match_engine.h"
-#include "engine/similarity_matrix_pool.h"
 #include "index/candidate_generator.h"
 #include "index/prepared_repository.h"
 #include "match/exhaustive_matcher.h"
@@ -47,11 +46,16 @@ void ExpectBitIdentical(const AnswerSet& actual, const AnswerSet& expected,
 }
 
 /// How the costs reach the matcher.
-enum class CostPath { kDensePool, kDenseLazy, kSparseFixed, kAdaptiveEngine };
+enum class CostPath {
+  kExactEngine,
+  kDenseLazy,
+  kSparseFixed,
+  kAdaptiveEngine
+};
 
 const char* CostPathName(CostPath path) {
   switch (path) {
-    case CostPath::kDensePool: return "dense-pool";
+    case CostPath::kExactEngine: return "exact-engine";
     case CostPath::kDenseLazy: return "dense-lazy";
     case CostPath::kSparseFixed: return "sparse-C4";
     case CostPath::kAdaptiveEngine: return "adaptive-0.9";
@@ -94,23 +98,24 @@ AnswerSet ExpectMatchesOracle(const Problem& problem,
                               const std::string& label) {
   ExhaustiveMatcher matcher;
   Result<AnswerSet> actual = Status::Internal("not run");
-  std::optional<engine::SimilarityMatrixPool> pool;
   std::optional<index::QueryCandidates> candidates;
   index::CandidateGenerator generator(&prepared, options.objective);
   // The costs of `path`, attached to an objective the matcher (directly)
   // and the oracle read alike.
   auto objective = [&] {
     return ObjectiveFunction(&problem.query, &problem.repo, options.objective,
-                             pool ? &*pool : nullptr,
                              candidates ? &*candidates : nullptr);
   };
   switch (path) {
-    case CostPath::kDensePool:
-      pool.emplace(engine::SimilarityMatrixPool::Build(
-                       problem.query, problem.repo, options.objective)
-                       .value());
-      actual = smb::testing::MatchWithObjective(matcher, objective(), options);
+    case CostPath::kExactEngine: {
+      // No budget: target-1.0 lists; the oracle reads the lazy costs.
+      engine::BatchMatchOptions bopts;
+      bopts.num_threads = 2;
+      bopts.prepared_repository = &prepared;
+      actual = engine::BatchMatchEngine(bopts).Run(matcher, problem.query,
+                                                   problem.repo, options);
       break;
+    }
     case CostPath::kDenseLazy:
       actual = matcher.Match(problem.query, problem.repo, options);
       break;
@@ -149,7 +154,7 @@ TEST(ExhaustiveLookaheadTest, AnswersBitIdenticalToUnprunedOracle) {
     for (double delta : {0.05, 0.25, 0.4}) {
       for (bool injective : {true, false}) {
         for (CostPath path :
-             {CostPath::kDensePool, CostPath::kDenseLazy,
+             {CostPath::kExactEngine, CostPath::kDenseLazy,
               CostPath::kSparseFixed, CostPath::kAdaptiveEngine}) {
           MatchOptions options = problem.options;
           options.delta_threshold = delta;
@@ -259,7 +264,7 @@ TEST(ExhaustiveLookaheadTest, ColdBoundStreamExploresAThirdOfTheBudgetOnlyDfs) {
                                                  options.delta_threshold);
     ASSERT_TRUE(candidates.ok()) << candidates.status();
     const ObjectiveFunction objective(&*query, &*repo, options.objective,
-                                      nullptr, &*candidates);
+                                      &*candidates);
     AnswerSet reference =
         OracleMatch(objective, options, OraclePrune::kBudget, &budget_only);
     ExpectBitIdentical(*served, reference, "query " + std::to_string(q));

@@ -3,7 +3,8 @@
 // one shared objective, concatenated and finalized, must equal the
 // whole-repository run mapping by mapping, with bit-equal Δ and work
 // counters that sum to the whole run's. Checked with the lazy cache, the
-// dense pool and sparse C = 4 candidate lists attached to the objective.
+// complete target-1.0 lists of an engine run without a budget and sparse
+// C = 4 candidate lists attached to the objective.
 
 #include <algorithm>
 #include <bit>
@@ -13,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/similarity_matrix_pool.h"
 #include "index/candidate_generator.h"
 #include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
@@ -23,12 +23,12 @@
 namespace smb::match {
 namespace {
 
-enum class CostPath { kLazy, kDensePool, kSparseC4 };
+enum class CostPath { kLazy, kTargetOne, kSparseC4 };
 
 const char* CostPathName(CostPath path) {
   switch (path) {
     case CostPath::kLazy: return "lazy";
-    case CostPath::kDensePool: return "dense-pool";
+    case CostPath::kTargetOne: return "target-1.0";
     case CostPath::kSparseC4: return "sparse-C4";
   }
   return "?";
@@ -76,30 +76,30 @@ TEST_P(MatchSchemasTest, RangesOfAPartitionEqualTheWholeRun) {
   auto prepared =
       index::PreparedRepository::Build(repo, options.objective.name);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  auto pool =
-      engine::SimilarityMatrixPool::Build(query, repo, options.objective);
-  ASSERT_TRUE(pool.ok()) << pool.status();
-  auto candidates = index::CandidateGenerator(&*prepared, options.objective)
-                        .Generate(query, 4);
+  index::CandidateGenerator generator(&*prepared, options.objective);
+  auto complete = generator.GenerateAdaptive(
+      query, index::AdaptiveCandidatePolicy{}, options.delta_threshold);
+  ASSERT_TRUE(complete.ok()) << complete.status();
+  auto candidates = generator.Generate(query, 4);
   ASSERT_TRUE(candidates.ok()) << candidates.status();
 
   size_t nonempty = 0;
   for (CostPath path :
-       {CostPath::kLazy, CostPath::kDensePool, CostPath::kSparseC4}) {
+       {CostPath::kLazy, CostPath::kTargetOne, CostPath::kSparseC4}) {
     auto make_objective = [&] {
-      return ObjectiveFunction(
-          &query, &repo, options.objective,
-          path == CostPath::kDensePool ? &*pool : nullptr,
-          path == CostPath::kSparseC4 ? &*candidates : nullptr);
+      const CandidateProvider* lists = nullptr;
+      if (path == CostPath::kTargetOne) lists = &*complete;
+      if (path == CostPath::kSparseC4) lists = &*candidates;
+      return ObjectiveFunction(&query, &repo, options.objective, lists);
     };
-    // The whole run: `Match` itself on the dense paths; over sparse lists,
-    // the one whole-repository run that reads them.
+    // The whole run: `Match` itself on the lazy path; over candidate
+    // lists, the one whole-repository run that reads them.
     MatchStats whole_stats;
     Result<AnswerSet> whole =
-        path == CostPath::kSparseC4
-            ? smb::testing::MatchWithObjective(**matcher, make_objective(),
-                                               options, &whole_stats)
-            : (*matcher)->Match(query, repo, options, &whole_stats);
+        path == CostPath::kLazy
+            ? (*matcher)->Match(query, repo, options, &whole_stats)
+            : smb::testing::MatchWithObjective(**matcher, make_objective(),
+                                               options, &whole_stats);
     ASSERT_TRUE(whole.ok()) << whole.status();
     if (!whole->empty()) ++nonempty;
 

@@ -47,7 +47,6 @@ std::string Describe(const ServiceSpec& spec) {
       << " " << f.k_per_schema << " " << f.max_frontier << " "
       << f.cluster_seed << " | " << e.num_threads << " " << e.shard_size
       << " " << e.global_top_k << " " << e.candidate_limit << " "
-      << e.block_max_postings << " "
       << e.prepared_repository << " " << e.adaptive.has_value();
   if (e.adaptive.has_value()) {
     out << " " << e.adaptive->min_provable_completeness << " "

@@ -89,9 +89,9 @@ commands:
   match     --repo=DIR --query=FILE --out=FILE
             [--matcher=exhaustive|beam|cluster|topk] [--beam=N] [--topm=N]
             [--k=N] [--delta=X] run a matcher, write the ranked answers
-            [--threads=N] shard the repository across N worker threads with
-            a shared similarity-matrix pool (0 = all cores; answers are
-            identical to a single-threaded run)
+            [--threads=N] shard the repository across N worker threads over
+            the repository index (0 = all cores; without a budget, answers
+            are identical to a single-threaded direct run)
             [--shard-size=N] schemas per shard on engine runs (--threads,
             --candidates or --target-bound)
             [--top=N] keep only the globally best N answers
@@ -106,7 +106,7 @@ commands:
             [--compare-dense] [--out-dir=DIR] build the repository index
             once, serve every query*.txt in DIR through it; report
             per-query latency (and, with --compare-dense, recall against
-            the index-free run). --out-dir writes answers-NNNN.csv per
+            the exact target-1.0 run). --out-dir writes answers-NNNN.csv per
             query (and dense-NNNN.csv with --compare-dense) for the
             bounds pipeline
             [--snapshot=FILE] load the prepared index from FILE when it
@@ -300,10 +300,10 @@ int CmdMatch(const CommandLine& cl) {
   if (repo_dir.empty() || query_path.empty() || out_path.empty()) {
     return Fail(Status::InvalidArgument("--repo, --query and --out required"));
   }
-  // Unlike a service, `match` runs dense unless asked for candidates.
-  serve::ServiceSpec dense;
-  dense.engine_options.candidate_limit = 0;
-  auto spec = serve::ParseServiceSpec(cl, dense);
+  // Unlike a service, `match` runs exact unless asked for a budget.
+  serve::ServiceSpec exact;
+  exact.engine_options.candidate_limit = 0;
+  auto spec = serve::ParseServiceSpec(cl, exact);
   if (!spec.ok()) return Fail(spec.status());
   const engine::BatchMatchOptions& bopts = spec->engine_options;
   const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
@@ -332,8 +332,8 @@ int CmdMatch(const CommandLine& cl) {
   match::MatchStats stats;
   if (use_engine) {
     // Run through the batch engine: repository split across a worker pool;
-    // costs come from the shared dense pool, or — with --candidates /
-    // --target-bound — from the sparse repository index.
+    // costs come from candidate lists over the repository index — every
+    // certified target without a budget, else --candidates / --target-bound.
     engine::BatchMatchEngine batch(bopts);
     engine::BatchMatchStats bstats;
     answers = batch.Run(**matcher, *query, *repo, options, &bstats);
@@ -342,20 +342,19 @@ int CmdMatch(const CommandLine& cl) {
       std::cout << "engine: " << bstats.shard_count << " shards on "
                 << bstats.threads_used << " threads";
       if (bstats.fell_back_to_single_run) {
-        // The fallback is a full dense run; the sparse flags, if given,
-        // were ignored — do not print index numbers that never happened.
-        std::cout << " (matcher not shardable: single dense run"
+        // The fallback is a direct run; the budget flags, if given, were
+        // ignored — do not print index numbers that never happened.
+        std::cout << " (matcher not shardable: single direct run"
                   << (sparse ? ", --candidates/--target-bound ignored" : "")
                   << ")";
-      } else if (sparse) {
-        std::cout << ", index+candidates " << bstats.index_seconds
+      } else {
+        std::cout << ", precompute " << bstats.precompute_seconds
+                  << "s, index+candidates " << bstats.index_seconds
                   << "s (provably complete cells: "
                   << FormatDouble(bstats.provably_complete_fraction * 100.0,
                                   1)
                   << "%)";
         if (bstats.adaptive_mode) PrintAdaptiveStats(bstats);
-      } else {
-        std::cout << ", precompute " << bstats.precompute_seconds << "s";
       }
       std::cout << ", match " << bstats.match_seconds << "s\n";
     }
