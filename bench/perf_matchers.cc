@@ -354,7 +354,9 @@ void BM_SparsePerQuery(benchmark::State& state) {
                       setup.mopts.objective.name)
                       .value();
   engine::BatchMatchOptions bopts;
-  bopts.candidate_limit = static_cast<size_t>(state.range(0));
+  bopts.adaptive = index::AdaptiveCandidatePolicy{
+      .min_provable_completeness = 0.0,
+      .initial_limit = static_cast<size_t>(state.range(0))};
   bopts.prepared_repository = &prepared;
   engine::BatchMatchEngine batch(bopts);
 
@@ -494,7 +496,9 @@ void BM_FixedPerQuery(benchmark::State& state) {
                       setup.collection.repository, mopts.objective.name)
                       .value();
   engine::BatchMatchOptions bopts;
-  bopts.candidate_limit = static_cast<size_t>(state.range(0));
+  bopts.adaptive = index::AdaptiveCandidatePolicy{
+      .min_provable_completeness = 0.0,
+      .initial_limit = static_cast<size_t>(state.range(0))};
   bopts.prepared_repository = &prepared;
   engine::BatchMatchEngine batch(bopts);
   for (auto _ : state) {

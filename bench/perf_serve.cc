@@ -53,7 +53,8 @@ ServeSetup* GetServeSetup(size_t num_schemas) {
   config.match_options.delta_threshold = 0.25;
   config.match_options.objective.name.synonyms = &kTable;
   config.engine_options.num_threads = 1;
-  config.engine_options.candidate_limit = 8;
+  config.engine_options.adaptive = index::AdaptiveCandidatePolicy{
+      .min_provable_completeness = 0.0, .initial_limit = 8};
   config.cache = setup->cache.get();
   // The index must be built with the same name options the queries match
   // with (folding and synonyms feed the candidate generator).

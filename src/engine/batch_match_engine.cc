@@ -97,12 +97,11 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   local.shard_count = shards.size();
 
   // Phase 1: candidate lists from the query-independent repository index,
-  // reused when the caller prebuilt it. A fixed `candidate_limit` keeps the
-  // top C of every (query element, schema) cell. Otherwise generation is
-  // bound-driven: each cell grows until its skip-bound certifies the
-  // completeness target at this run's Δ threshold — `adaptive`'s target,
-  // or, for a run without a budget, 1.0 with no cap, whose lists hold
-  // every target that can reach an answer (the exhaustive run).
+  // reused when the caller prebuilt it. Each (query element, schema) cell
+  // grows until its skip-bound certifies the completeness target at this
+  // run's Δ threshold — `adaptive`'s target, or, for a run without a
+  // policy, 1.0 with no cap, whose lists hold every target that can reach
+  // an answer (the exhaustive run). Target 0 keeps the top C of every cell.
   const index::PreparedRepository* prepared = options_.prepared_repository;
   std::optional<index::PreparedRepository> owned_prepared;
   if (prepared == nullptr) {
@@ -123,19 +122,14 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   // even when shards are few.
   generator.set_num_threads(threads);
   generator.set_name_row_cache(options_.name_row_cache);
-  const bool fixed = !options_.adaptive && options_.candidate_limit > 0;
-  Result<index::QueryCandidates> generated =
-      fixed ? generator.Generate(query, options_.candidate_limit)
-            : generator.GenerateAdaptive(
-                  query,
-                  options_.adaptive.value_or(index::AdaptiveCandidatePolicy{}),
-                  match_options.delta_threshold, &local.adaptive);
+  Result<index::QueryCandidates> generated = generator.GenerateAdaptive(
+      query, options_.policy(), match_options.delta_threshold,
+      &local.adaptive);
   if (!generated.ok()) {
     if (stats != nullptr) *stats = local;
     return generated.status();
   }
   const index::QueryCandidates candidates = std::move(generated).value();
-  local.adaptive_mode = !fixed;
   local.index_seconds = SecondsSince(index_start);
   local.match.candidates_generated = candidates.candidates_generated();
   local.match.candidates_skipped = candidates.candidates_skipped();

@@ -30,22 +30,23 @@
 /// objective. A query-independent `index::PreparedRepository` (built here
 /// when the caller passes none, or prebuilt and amortized across many
 /// queries) generates, for every (query element, schema) cell, the targets
-/// worth scoring, in one of three ways:
-///  * **exact** (no budget, the default): bound-driven generation at
-///    target 1.0 with no cap. Every cell is certified, so no answer within
-///    the run's Δ threshold is lost and the merged answers are *identical*
-///    (keys and Δ) to a direct single-threaded `matcher.Match(query, repo,
-///    ...)` run for any shard-safe matcher, for every thread count and
-///    shard size — the exhaustive S1;
-///  * **fixed** (`candidate_limit > 0`): the top C candidates per cell, the
-///    non-exhaustive S2 restriction; smaller C trades
-///    certified-measurable recall for speed
-///    (`index::QueryCandidates::SkipLowerBound`);
-///  * **bound-driven** (`adaptive` set): every cell grows its list
-///    geometrically until the admissible skip-bound certifies the
-///    requested per-query completeness target at the run's Δ threshold —
-///    the paper's effectiveness bound acting as the scheduling signal
-///    rather than passive telemetry.
+/// worth scoring under one candidate policy
+/// (`index::AdaptiveCandidatePolicy`): every cell starts at the policy's
+/// initial limit and grows geometrically until the admissible skip-bound
+/// certifies the policy's per-query completeness target at the run's Δ
+/// threshold — the paper's effectiveness bound acting as the scheduling
+/// signal rather than passive telemetry. Two targets are special:
+///  * **1.0 with no cap** — the exact run, and the default when the
+///    caller sets no policy. Every cell is certified, so no answer within
+///    Δ is lost and the merged answers are *identical* (keys and Δ) to a
+///    direct single-threaded `matcher.Match(query, repo, ...)` run for any
+///    shard-safe matcher, for every thread count and shard size — the
+///    exhaustive S1;
+///  * **0.0** — fixed-C: no cell escalates, so every cell keeps the top C
+///    = initial-limit candidates, the non-exhaustive S2 restriction;
+///    smaller C trades certified-measurable recall for speed
+///    (`index::QueryCandidates::SkipLowerBound`).
+/// Every target above 0 is bound-driven (`BatchMatchOptions::bound_driven`).
 ///
 /// The lists answer every cost the matchers read, so the objective's lazy
 /// cache is never written and the workers share it read-only. Budget
@@ -64,12 +65,6 @@ struct BatchMatchOptions {
   size_t shard_size = 0;
   /// Keep only the globally best k answers after the merge (0 = keep all).
   size_t global_top_k = 0;
-  /// Candidates per (query element, repository schema) the index hands to
-  /// matchers. 0 = no fixed budget: the exact run (target 1.0), unless
-  /// `adaptive` is set. Matchers that refuse sharding (cluster) ignore it —
-  /// their single-run fallback is a direct `Matcher::Match`, reported via
-  /// `fell_back_to_single_run`.
-  size_t candidate_limit = 0;
   /// Optional prebuilt repository index (must be built over exactly the
   /// `repo` passed to Run). When null, the engine builds one per Run —
   /// correct but wasteful for workloads; build once and share instead.
@@ -80,14 +75,25 @@ struct BatchMatchOptions {
   /// Lists and answers are identical with and without it. The serve path
   /// passes its generation's cache; everything else runs without one.
   index::NameRowCache* name_row_cache = nullptr;
-  /// Bound-driven mode: when set, candidate lists come from
+  /// The candidate policy: lists come from
   /// `index::CandidateGenerator::GenerateAdaptive` against the run's
-  /// `MatchOptions::delta_threshold` — each cell grows until its skip-bound
-  /// certifies `adaptive->min_provable_completeness` — and
-  /// `candidate_limit` is ignored (it may stay 0). With a target of 1.0
-  /// and an unbounded `max_limit` this is the exact run. Non-shardable
-  /// matchers fall back to a direct run exactly as with a fixed budget.
+  /// `MatchOptions::delta_threshold`, each cell growing until its
+  /// skip-bound certifies `adaptive->min_provable_completeness`. Unset:
+  /// the default policy, target 1.0 with an unbounded `max_limit` — the
+  /// exact run. Target 0 keeps every cell at `initial_limit` (fixed-C).
+  /// Matchers that refuse sharding (cluster) ignore it — their single-run
+  /// fallback is a direct `Matcher::Match`, reported via
+  /// `fell_back_to_single_run`.
   std::optional<index::AdaptiveCandidatePolicy> adaptive;
+
+  /// The policy a run generates with: `adaptive`, or the exact default.
+  index::AdaptiveCandidatePolicy policy() const {
+    return adaptive.value_or(index::AdaptiveCandidatePolicy{});
+  }
+
+  /// \brief True when generation is bound-driven: the policy's target is
+  /// above 0. Only a fixed-C policy (target 0) is not.
+  bool bound_driven() const { return policy().min_provable_completeness > 0.0; }
 };
 
 /// \brief What a batch run did (timings in seconds, wall clock).
@@ -114,12 +120,9 @@ struct BatchMatchStats {
   /// (`eval::QueryRunReport`, the CLI, the serve cache) shares that
   /// convention.
   double provably_complete_fraction = 1.0;
-  /// True when this run generated candidates with `GenerateAdaptive`
-  /// (`BatchMatchOptions::adaptive` set, or no budget at all); `adaptive`
-  /// below is only meaningful then.
-  bool adaptive_mode = false;
-  /// Budget accounting of the adaptive generation: rounds, candidates
+  /// Budget accounting of the candidate generation: rounds, candidates
   /// scored, escalated/capped cells and the achieved bound distribution.
+  /// All zero on the single-run fallback, which generates nothing.
   index::AdaptiveGenerationStats adaptive;
   /// Candidate entries handed to each shard (Σ over the shard's (position,
   /// schema) cells) — the per-shard budget the index spent. Empty on the

@@ -59,10 +59,10 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
     return Status::InvalidArgument("workload has no matching problems");
   }
   engine::BatchMatchOptions sparse_opts = workload_options.engine_options;
-  if (!sparse_opts.adaptive.has_value() && sparse_opts.candidate_limit == 0) {
+  if (!sparse_opts.adaptive.has_value()) {
     return Status::InvalidArgument(
-        "candidate_limit must be positive (or set `adaptive` for the "
-        "bound-driven mode)");
+        "the sparse run needs a candidate policy (`adaptive`: target 0 "
+        "for a fixed C, above 0 for the bound-driven mode)");
   }
 
   IndexedWorkloadResult result;
@@ -75,7 +75,6 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
   // The dense run is the exact one (no budget: target 1.0) over the same
   // index.
   engine::BatchMatchOptions dense_opts = sparse_opts;
-  dense_opts.candidate_limit = 0;
   dense_opts.adaptive.reset();
   engine::BatchMatchEngine dense_engine(dense_opts);
 
@@ -100,12 +99,10 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
     report.index_seconds = sparse_stats.index_seconds;
     report.provably_complete_fraction =
         sparse_stats.provably_complete_fraction;
-    if (sparse_stats.adaptive_mode) {
-      report.budget_spent = sparse_stats.adaptive.budget_spent;
-      report.cells_escalated = sparse_stats.adaptive.cells_escalated;
-      report.adaptive_rounds = sparse_stats.adaptive.rounds;
-      result.total_budget_spent += report.budget_spent;
-    }
+    report.budget_spent = sparse_stats.adaptive.budget_spent;
+    report.cells_escalated = sparse_stats.adaptive.cells_escalated;
+    report.adaptive_rounds = sparse_stats.adaptive.rounds;
+    result.total_budget_spent += report.budget_spent;
     result.stats += sparse_stats.match;
 
     if (workload_options.compare_dense) {

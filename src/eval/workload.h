@@ -64,11 +64,12 @@ std::vector<size_t> PooledSizes(const WorkloadResult& result,
 
 /// \brief Configuration of an indexed (prepare-once/serve-many) workload.
 struct IndexedWorkloadOptions {
-  /// The sparse run's engine configuration: the S2 selectivity knob C
-  /// (`candidate_limit`) or the bound-driven policy (`adaptive`, whose
-  /// per-query budget and achieved bound land in `QueryRunReport`), plus
-  /// threads, shard size and top-k. `prepared_repository` is ignored: the
-  /// run always uses the index passed to `RunIndexedWorkload`.
+  /// The sparse run's engine configuration: its candidate policy
+  /// (`adaptive`, required: target 0 is the S2 selectivity knob C, a
+  /// target above 0 the bound-driven mode; the per-query budget and
+  /// achieved bound land in `QueryRunReport`), plus threads, shard size
+  /// and top-k. `prepared_repository` is ignored: the run always uses the
+  /// index passed to `RunIndexedWorkload`.
   engine::BatchMatchOptions engine_options;
   /// Also run each query through the exact engine run (no budget: target
   /// 1.0 over the same index) and report recall of these dense answers
@@ -97,8 +98,8 @@ struct QueryRunReport {
   /// two used to disagree: 0.0 here vs 1.0 there; regression-tested in
   /// tests/eval/indexed_workload_test.cc).
   double provably_complete_fraction = 1.0;
-  /// Adaptive mode only: candidates scored for this query (including
-  /// escalation re-scoring), escalated cells, and escalation rounds.
+  /// Candidates scored for this query (including escalation re-scoring),
+  /// escalated cells, and escalation rounds (0 for a fixed C).
   uint64_t budget_spent = 0;
   size_t cells_escalated = 0;
   size_t adaptive_rounds = 0;
@@ -122,7 +123,7 @@ struct IndexedWorkloadResult {
   /// Mean certified completeness over the queries — the workload-level
   /// achieved bound.
   double mean_provable_completeness = 1.0;
-  /// Adaptive mode: total candidates scored across all queries.
+  /// Total candidates scored across all queries.
   uint64_t total_budget_spent = 0;
   /// Micro-averaged measured sparse curve; only when some problem carries
   /// ground truth (see `has_curve`).

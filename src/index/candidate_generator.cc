@@ -17,34 +17,34 @@
 #include "sim/synonyms.h"
 
 /// \file candidate_generator.cc
-/// \brief Fixed-C and bound-driven (adaptive) candidate generation.
+/// \brief Candidate generation under one policy: fixed-C is its target 0.
 ///
-/// Both entry points share one engine: a per-position *retrieval* pass
+/// One engine serves every target: a per-position *retrieval* pass
 /// (postings → retrieved elements with exact trigram Dice and
 /// strong-evidence flags) and a per-cell *scoring* pass (max-heap of the C
 /// cheapest exact node costs with threshold-aware pruning, emitting the
 /// admissible skip-bound). `ScoreEveryCell` runs retrieval + one scoring
-/// pass per cell at a per-cell limit: `Generate` is that pass at one
-/// uniform limit. There a cell whose limit reaches its schema size skips
-/// the scoring pass: it is gathered from its position's name row (one
-/// batched similarity per distinct name of the position's full-coverage
-/// cells) and sorted. `GenerateAdaptive` either plans its escalation rounds
-/// from the schema sizes and then runs that same pass once (when only full
-/// coverage can certify at the run's Δ), or keeps the retrieval state
-/// alive and re-scores only the cells whose bound has not yet certified
-/// the caller's completeness target, at geometrically growing limits. A
+/// pass per cell at a per-cell limit. There a cell whose limit reaches its
+/// schema size skips the scoring pass: it is gathered from its position's
+/// name row (one batched similarity per distinct name of the position's
+/// full-coverage cells) and sorted. `GenerateAdaptive` runs that pass once:
+/// at the initial limit (round 0), or — when only full coverage can
+/// certify at the run's Δ — at the final limits of escalation rounds
+/// planned from the schema sizes. Outside the planned regime it then keeps
+/// the retrieval state alive and re-scores only the cells whose bound has
+/// not yet certified the caller's completeness target, at geometrically
+/// growing limits; at target 0 no round runs, which is `Generate`. A
 /// re-scored cell reuses the exact costs of its current entries instead of
 /// evaluating them again. Within one query position each distinct element
 /// name is scored once per engine: full costs read the name row, else the
 /// engine's memo of the name similarity by the index's name id, and add
 /// each element's type penalty on top. With a `NameRowCache` the single
 /// pass takes each position's row from the cache when it can and inserts
-/// the complete rows it scores. With more than one thread every
-/// scoring pass runs through `ParallelCellScorer`, which commits scored
-/// blocks in cell order so the output matches the serial loop exactly;
-/// rows and gathers write disjoint entries and cells, in any order. The
-/// single pass of `ScoreEveryCell` takes that route for every thread
-/// count; the round loop has a plain serial version for one thread.
+/// the complete rows it scores. Every scoring pass, at every thread count,
+/// runs through `ParallelCellScorer`, which commits scored cells in cell
+/// order so the output matches a serial loop exactly (one worker runs that
+/// loop inline); rows and gathers write disjoint entries and cells, in any
+/// order.
 
 namespace smb::index {
 
@@ -87,9 +87,11 @@ struct WandTerm {
 /// in [0, 1]).
 constexpr double kNotInRow = -1.0;
 
-/// Retrieval results of one query position, valid for every schema and —
-/// in adaptive generation — every escalation round. In the single pass a
-/// position with no partial cell holds only `prepared` and `name_row`.
+}  // namespace
+
+/// Retrieval results of one query position, valid for every schema and
+/// every escalation round. A position with no partial cell holds only
+/// `prepared` and `name_row` (none of its cells can escalate).
 struct PositionRetrieval {
   /// Lookup-only preparation against the index's shared interner.
   sim::PreparedName prepared;
@@ -100,18 +102,21 @@ struct PositionRetrieval {
   /// `hits` index range of schema `si` is
   /// [hit_offsets[si], hit_offsets[si + 1]).
   std::vector<uint32_t> hit_offsets;
-  /// Distinct query grams present in the index (block-max mode only); the
-  /// serial loops score through these, so their hints carry across cells.
+  /// Distinct query grams present in the index (block-max mode only); a
+  /// worker scores through its own copy, so the hints carry across the
+  /// cells it scores in a row.
   std::vector<WandTerm> wand_terms;
   const std::vector<uint32_t>* type_bucket = nullptr;
-  /// The position's name row (`ScoreEveryCell` only; null in the round
-  /// loop and for a position with neither a cached row nor a full-coverage
-  /// cell): by name id, the exact similarity of the query name to every
-  /// name of the position's full-coverage cells, `kNotInRow` elsewhere; a
-  /// row from or for the `NameRowCache` holds every name. Filled before
-  /// any cell of the position is scored, then read-only.
+  /// The position's name row (null for a position with neither a cached
+  /// row nor a full-coverage cell): by name id, the exact similarity of
+  /// the query name to every name of the position's full-coverage cells,
+  /// `kNotInRow` elsewhere; a row from or for the `NameRowCache` holds
+  /// every name. Filled by `ScoreEveryCell` before any cell of the
+  /// position is scored, then read-only, escalation rounds included.
   NameRow name_row;
 };
+
+namespace {
 
 /// One posting-list cursor of the per-cell WAND traversal, restricted to
 /// the cell's ordinal range [first, end).
@@ -900,6 +905,8 @@ struct ScoredCell {
   CellWork work;
 };
 
+}  // namespace
+
 /// \brief Retrieval and cell scoring on one or more workers, with
 /// in-order commit (one worker runs inline on the calling thread).
 ///
@@ -928,6 +935,8 @@ class ParallelCellScorer {
     }
   }
 
+  size_t threads() const { return threads_; }
+
   /// Runs the retrieval pass of every query position whose `retrieve`
   /// flag is set and only prepares the query name of the others, one
   /// position per work item.
@@ -955,11 +964,31 @@ class ParallelCellScorer {
   /// worker scoring it without a lock: they live in the output cell, which
   /// only that task's own commit writes, and the commit runs after the
   /// task's block has finished. Returns the candidates scored for cells
-  /// that were never committed.
+  /// that were never committed: always 0 with one worker, which runs
+  /// inline and asks `done()` before it scores each cell.
   template <typename Done, typename Commit>
   uint64_t ScoreInOrder(const std::vector<PositionRetrieval>& retrievals,
                         const std::vector<CellTask>& tasks, Done done,
                         Commit commit) {
+    if (threads_ == 1) {
+      Worker& w = workers_[0];
+      ScoredCell cell;
+      for (size_t t = 0; t < tasks.size();) {
+        const size_t pos = tasks[t].cell_index / schema_count_;
+        const PositionRetrieval& retrieval = retrievals[pos];
+        const schema::SchemaNode& qnode = query_.node(preorder_[pos]);
+        w.hints = retrieval.wand_terms;
+        w.engine.UsePosition(pos);
+        sim::BlockScorer scorer(retrieval.prepared, objective_->name);
+        for (; t < tasks.size() && tasks[t].cell_index / schema_count_ == pos;
+             ++t) {
+          if (done()) return 0;
+          Score(w, retrieval, scorer, qnode, tasks[t], &cell);
+          commit(tasks[t], cell);
+        }
+      }
+      return 0;
+    }
     // Order-contiguous blocks that stay within one query position (one
     // scorer per block). Small enough that the work scored past a stop
     // point stays small, several per worker for balance.
@@ -999,12 +1028,7 @@ class ParallelCellScorer {
       {
         sim::BlockScorer scorer(retrieval.prepared, objective_->name);
         for (size_t t = begin; t < end; ++t) {
-          const auto si =
-              static_cast<int32_t>(tasks[t].cell_index % schema_count_);
-          results[t].work = w.engine.ScoreCell(
-              retrieval, w.hints, scorer, qnode, si, tasks[t].limit,
-              tasks[t].previous, &results[t].entries,
-              &results[t].skip_bound);
+          Score(w, retrieval, scorer, qnode, tasks[t], &results[t]);
           block_scored += results[t].work.scored;
         }
       }
@@ -1038,6 +1062,17 @@ class ParallelCellScorer {
     std::vector<WandTerm> hints;
   };
 
+  /// Scores `task` with `w`'s engine and hints; `scorer` is built over the
+  /// query name of the task's position.
+  void Score(Worker& w, const PositionRetrieval& retrieval,
+             sim::BlockScorer& scorer, const schema::SchemaNode& qnode,
+             const CellTask& task, ScoredCell* cell) {
+    cell->work = w.engine.ScoreCell(
+        retrieval, w.hints, scorer, qnode,
+        static_cast<int32_t>(task.cell_index % schema_count_), task.limit,
+        task.previous, &cell->entries, &cell->skip_bound);
+  }
+
   size_t threads_;
   const match::ObjectiveOptions* objective_;
   const schema::Schema& query_;
@@ -1045,6 +1080,8 @@ class ParallelCellScorer {
   size_t schema_count_;
   std::vector<Worker> workers_;
 };
+
+namespace {
 
 /// Names per work item of the name-row fill: items are (position, chunk)
 /// pairs, so a few thousand names spread over the workers.
@@ -1191,8 +1228,10 @@ void CandidateGenerator::InitOutput(const schema::Schema& query,
 }
 
 void CandidateGenerator::ScoreEveryCell(
-    const schema::Schema& query, const std::vector<schema::NodeId>& preorder,
-    const std::vector<size_t>& limits, QueryCandidates* out,
+    ParallelCellScorer& workers, const schema::Schema& query,
+    const std::vector<schema::NodeId>& preorder,
+    const std::vector<size_t>& limits,
+    std::vector<PositionRetrieval>* retrieval_out, QueryCandidates* out,
     AdaptiveGenerationStats* spent) const {
   const schema::SchemaRepository& repo = prepared_->repo();
   const size_t schema_count = out->schema_count_;
@@ -1222,11 +1261,8 @@ void CandidateGenerator::ScoreEveryCell(
   }
 
   // With one thread every stage below runs inline (`ParallelFor`).
-  const size_t threads = ResolveThreadCount(num_threads_);
-  ParallelCellScorer workers(threads, prepared_, &objective_,
-                             trigram_weight_share_, cutoff_enabled_,
-                             block_max_enabled_, query, preorder);
-  std::vector<PositionRetrieval> retrievals;
+  const size_t threads = workers.threads();
+  std::vector<PositionRetrieval>& retrievals = *retrieval_out;
   workers.RetrieveAll(has_partial, &retrievals);
 
   // The names each position's row scores. A row from or for the cache is
@@ -1339,17 +1375,12 @@ Result<QueryCandidates> CandidateGenerator::Generate(
   if (limit == 0) {
     return Status::InvalidArgument("candidate limit must be positive");
   }
-  SMB_RETURN_IF_ERROR(ValidateQuery(query));
-
-  const std::vector<schema::NodeId> preorder = query.PreOrder();
-  QueryCandidates out;
-  InitOutput(query, &out);
-  out.limit_ = limit;
-  AdaptiveGenerationStats spent;
-  ScoreEveryCell(query, preorder,
-                 std::vector<size_t>(out.cells_.size(), limit), &out, &spent);
-  FinalizeCounts(&out);
-  return out;
+  // Target 0 never escalates: every cell is scored once at `limit`, and Δ
+  // only feeds the certificates, which the lists do not depend on.
+  AdaptiveCandidatePolicy fixed;
+  fixed.min_provable_completeness = 0.0;
+  fixed.initial_limit = limit;
+  return GenerateAdaptive(query, fixed, /*delta_threshold=*/0.0);
 }
 
 Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
@@ -1399,33 +1430,15 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
                                 : schema_size(si);
   };
 
-  // Retrieval state is kept per position so escalation rounds only re-run
-  // the (cheap, cutoff-pruned) scoring of the cells that need more budget.
-  std::vector<PositionRetrieval> retrievals(m);
-  std::vector<size_t> limits(total_cells, 0);
+  std::vector<size_t> limits(total_cells, policy.initial_limit);
   std::vector<uint8_t> certified(total_cells, 0);
   std::vector<uint8_t> escalated(total_cells, 0);
-
   size_t certified_count = 0;
-  auto note_certified = [&](size_t cell_index) {
-    if (certified[cell_index] == 0 &&
-        CellComplete(out.cells_[cell_index].skip_bound, out.weight_name_,
-                     out.normalizer_, delta_threshold)) {
-      certified[cell_index] = 1;
-      ++certified_count;
-    }
-  };
   auto target_met = [&] {
     return static_cast<double>(certified_count) /
                    static_cast<double>(total_cells) +
                1e-12 >=
            policy.min_provable_completeness;
-  };
-
-  auto spend = [&](const CellWork& work) {
-    local.budget_spent += work.scored;
-    local.costs_computed += work.computed;
-    local.names_scored += work.names_scored;
   };
 
   // Every finite skip-bound is ≤ 1 and the Δ-unit bound is monotone in it
@@ -1435,20 +1448,18 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
   const bool only_full_coverage_certifies =
       out.weight_name_ >= 0.0 &&
       !CellComplete(1.0, out.weight_name_, out.normalizer_, delta_threshold);
-
-  const size_t threads = ResolveThreadCount(num_threads_);
   if (only_full_coverage_certifies) {
-    // The round loop below on the limits alone, with certification read off
-    // the schema sizes; then one scoring pass at the final limits.
-    auto set_limit = [&](size_t cell_index, size_t limit) {
-      limits[cell_index] = limit;
-      if (limit >= schema_size(cell_index % schema_count)) {
+    // The escalation rounds below on the limits alone, with certification
+    // read off the schema sizes; the single pass then scores every cell at
+    // its final limit, and no round is left to run.
+    auto note_limit = [&](size_t cell_index) {
+      if (limits[cell_index] >= schema_size(cell_index % schema_count)) {
         certified[cell_index] = 1;
         ++certified_count;
       }
     };
     for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
-      set_limit(cell_index, policy.initial_limit);
+      note_limit(cell_index);
     }
     while (!target_met()) {
       bool any_escalated = false;
@@ -1456,127 +1467,74 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
            ++cell_index) {
         const size_t cap = cap_for(cell_index % schema_count);
         if (certified[cell_index] != 0 || limits[cell_index] >= cap) continue;
-        set_limit(cell_index,
-                  std::min(cap, limits[cell_index] * policy.growth_factor));
+        limits[cell_index] =
+            std::min(cap, limits[cell_index] * policy.growth_factor);
         escalated[cell_index] = 1;
         any_escalated = true;
+        note_limit(cell_index);
       }
       if (!any_escalated) break;  // every uncertified cell is at its cap
       ++local.rounds;
     }
-    ScoreEveryCell(query, preorder, limits, &out, &local);
+  }
+
+  // Round 0 (or the planned final limits): every cell scored once.
+  ParallelCellScorer workers(ResolveThreadCount(num_threads_), prepared_,
+                             &objective_, trigram_weight_share_,
+                             cutoff_enabled_, block_max_enabled_, query,
+                             preorder);
+  std::vector<PositionRetrieval> retrievals;
+  ScoreEveryCell(workers, query, preorder, limits, &retrievals, &out, &local);
+  auto note_certified = [&](size_t cell_index) {
+    if (certified[cell_index] == 0 &&
+        CellComplete(out.cells_[cell_index].skip_bound, out.weight_name_,
+                     out.normalizer_, delta_threshold)) {
+      certified[cell_index] = 1;
+      ++certified_count;
+    }
+  };
+  for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
+    assert(!only_full_coverage_certifies ||
+           CellComplete(out.cells_[cell_index].skip_bound, out.weight_name_,
+                        out.normalizer_, delta_threshold) ==
+               (certified[cell_index] != 0));
+    note_certified(cell_index);
+  }
+
+  // Escalation rounds: regenerate every uncertified, still-growable cell
+  // at `growth_factor ×` its limit, in (position, schema) order, and stop
+  // as soon as the certified fraction reaches the target or no cell can
+  // grow further. `ScoreInOrder` checks the target before each commit, so
+  // the stop point is the same for every thread count. Only scoring a
+  // cell changes its eligibility, so a round's task list is fixed up
+  // front. Terminates: every escalation strictly grows a limit toward its
+  // finite cap.
+  auto commit = [&](const CellTask& task, ScoredCell& cell) {
+    out.cells_[task.cell_index].entries = std::move(cell.entries);
+    out.cells_[task.cell_index].skip_bound = cell.skip_bound;
+    local.budget_spent += cell.work.scored;
+    local.costs_computed += cell.work.computed;
+    local.names_scored += cell.work.names_scored;
+    limits[task.cell_index] = task.limit;
+    escalated[task.cell_index] = 1;
+    note_certified(task.cell_index);
+  };
+  std::vector<CellTask> tasks;
+  while (!target_met()) {
+    tasks.clear();
     for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
-      assert(CellComplete(out.cells_[cell_index].skip_bound, out.weight_name_,
-                          out.normalizer_, delta_threshold) ==
-             (certified[cell_index] != 0));
-    }
-  } else if (threads > 1) {
-    // The serial loop below, on the workers: round 0 scores every cell;
-    // an escalation round scores the round's uncertified, growable cells
-    // in (position, schema) order and stops where the serial loop stops
-    // (`ScoreInOrder` commits in that order and checks the target before
-    // each commit). A cell's eligibility cannot change within a round —
-    // only scoring the cell itself changes it — so the task list is fixed
-    // up front.
-    ParallelCellScorer workers(threads, prepared_, &objective_,
-                               trigram_weight_share_, cutoff_enabled_,
-                               block_max_enabled_, query, preorder);
-    workers.RetrieveAll(std::vector<uint8_t>(m, 1), &retrievals);
-    std::vector<CellTask> tasks(total_cells);
-    for (size_t i = 0; i < total_cells; ++i) {
-      tasks[i] = {i, policy.initial_limit, {}};
-    }
-    bool escalating = false;
-    auto commit = [&](const CellTask& task, ScoredCell& cell) {
-      out.cells_[task.cell_index].entries = std::move(cell.entries);
-      out.cells_[task.cell_index].skip_bound = cell.skip_bound;
-      spend(cell.work);
-      limits[task.cell_index] = task.limit;
-      if (escalating) escalated[task.cell_index] = 1;
-      note_certified(task.cell_index);
-    };
-    workers.ScoreInOrder(retrievals, tasks, [] { return false; }, commit);
-    escalating = true;
-    while (!target_met()) {
-      tasks.clear();
-      for (size_t cell_index = 0; cell_index < total_cells; ++cell_index) {
-        const size_t cap = cap_for(cell_index % schema_count);
-        if (certified[cell_index] == 0 && limits[cell_index] < cap) {
-          tasks.push_back(
-              {cell_index,
-               std::min(cap, limits[cell_index] * policy.growth_factor),
-               out.cells_[cell_index].entries});
-        }
-      }
-      if (tasks.empty()) break;  // every uncertified cell is at its cap
-      local.speculative_scored +=
-          workers.ScoreInOrder(retrievals, tasks, target_met, commit);
-      ++local.rounds;
-    }
-  } else {
-    GenerationEngine engine(prepared_, &objective_, trigram_weight_share_,
-                            cutoff_enabled_, block_max_enabled_);
-
-    // Round 0: every cell at the initial limit.
-    for (size_t pos = 0; pos < m; ++pos) {
-      const schema::SchemaNode& qnode = query.node(preorder[pos]);
-      engine.Retrieve(qnode, &retrievals[pos]);
-      engine.UsePosition(pos);
-      sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
-      for (size_t si = 0; si < schema_count; ++si) {
-        const size_t cell_index = pos * schema_count + si;
-        limits[cell_index] = policy.initial_limit;
-        QueryCandidates::Cell& cell = out.cells_[cell_index];
-        spend(engine.ScoreCell(retrievals[pos], retrievals[pos].wand_terms,
-                               scorer, qnode, static_cast<int32_t>(si),
-                               policy.initial_limit, {}, &cell.entries,
-                               &cell.skip_bound));
-        note_certified(cell_index);
+      const size_t cap = cap_for(cell_index % schema_count);
+      if (certified[cell_index] == 0 && limits[cell_index] < cap) {
+        tasks.push_back(
+            {cell_index,
+             std::min(cap, limits[cell_index] * policy.growth_factor),
+             out.cells_[cell_index].entries});
       }
     }
-
-    // Escalation rounds: regenerate every uncertified, still-growable cell
-    // at `growth_factor ×` its limit; stop as soon as the certified
-    // fraction reaches the target (deterministic (position, schema) order)
-    // or no cell can grow further. Terminates: every escalation strictly
-    // grows a limit toward its finite cap.
-    while (!target_met()) {
-      bool any_escalated = false;
-      for (size_t pos = 0; pos < m && !target_met(); ++pos) {
-        bool row_has_work = false;
-        for (size_t si = 0; si < schema_count; ++si) {
-          const size_t cell_index = pos * schema_count + si;
-          if (certified[cell_index] == 0 && limits[cell_index] < cap_for(si)) {
-            row_has_work = true;
-            break;
-          }
-        }
-        if (!row_has_work) continue;
-        const schema::SchemaNode& qnode = query.node(preorder[pos]);
-        engine.UsePosition(pos);
-        sim::BlockScorer scorer(retrievals[pos].prepared, objective_.name);
-        for (size_t si = 0; si < schema_count && !target_met(); ++si) {
-          const size_t cell_index = pos * schema_count + si;
-          const size_t cap = cap_for(si);
-          if (certified[cell_index] != 0 || limits[cell_index] >= cap) {
-            continue;
-          }
-          const size_t next_limit =
-              std::min(cap, limits[cell_index] * policy.growth_factor);
-          QueryCandidates::Cell& cell = out.cells_[cell_index];
-          spend(engine.ScoreCell(retrievals[pos], retrievals[pos].wand_terms,
-                                 scorer, qnode, static_cast<int32_t>(si),
-                                 next_limit, cell.entries, &cell.entries,
-                                 &cell.skip_bound));
-          limits[cell_index] = next_limit;
-          escalated[cell_index] = 1;
-          any_escalated = true;
-          note_certified(cell_index);
-        }
-      }
-      if (!any_escalated) break;  // every uncertified cell is at its cap
-      ++local.rounds;
-    }
+    if (tasks.empty()) break;  // every uncertified cell is at its cap
+    local.speculative_scored +=
+        workers.ScoreInOrder(retrievals, tasks, target_met, commit);
+    ++local.rounds;
   }
 
   std::map<size_t, uint64_t> distribution;

@@ -12,9 +12,9 @@
 
 /// \file candidate_generator.h
 /// \brief Sparse candidate generation: top-C targets per query element with
-/// an admissible cost bound for everything skipped — at a fixed C, or
-/// adaptively grown per cell until the bound certifies a completeness
-/// target (`AdaptiveCandidatePolicy`).
+/// an admissible cost bound for everything skipped, grown per cell until
+/// the bound certifies a completeness target (`AdaptiveCandidatePolicy`;
+/// a fixed C is its target 0).
 ///
 /// For each (query position, repository schema) cell the generator
 /// retrieves elements through the `PreparedRepository` postings (tokens,
@@ -61,8 +61,9 @@
 /// `AdaptiveGenerationStats` field except the two work counters are those
 /// of the round-by-round loop (scoring at a limit from scratch equals the
 /// escalated cell, below); `budget_spent` and `costs_computed` count the
-/// single pass. Outside the regime (a tight Δ, or m ≤ 2 at Δ = 0.25) the
-/// round loop scores each round as described next.
+/// single pass. Outside the regime (a tight Δ, or m ≤ 2 at Δ = 0.25)
+/// round 0 is that same pass at the initial limit, and each escalation
+/// round scores the cells it grows as described next.
 ///
 /// **Escalation reuses costs.** An escalated cell is scored again at the
 /// larger limit, but the costs of its current entries are exact, so they
@@ -83,9 +84,9 @@
 /// **Full-coverage cells are gathered from name rows.** A full node cost
 /// is `ApplyTypePenalty(1 − sim(query name, element name), types)`, and
 /// the similarity depends on the element only through its folded name,
-/// which `PreparedRepository::name_id` numbers densely. When every cell is
-/// scored once (`Generate`, and `GenerateAdaptive` in the planned regime),
-/// each query position first gets a *name row*: the distinct names of its
+/// which `PreparedRepository::name_id` numbers densely. In the single pass
+/// that scores every cell (round 0, or the planned pass), each query
+/// position first gets a *name row*: the distinct names of its
 /// full-coverage cells (limit ≥ |schema|), scored in one batched
 /// `sim::BlockScorer::ScoreMany` call (`min_score` 0, bit-identical to
 /// `Score`) over one representative element per name
@@ -102,12 +103,13 @@
 /// similarities, never penalized costs, and every cost is
 /// `ComputeNodeCost`'s own expression, so every cost is bit-identical to
 /// the unmemoized one. The threshold-aware branch reads neither (its
-/// pruned lower bounds feed the skip-bound), and the round-by-round loop
-/// uses the memo only. None of this changes a list, a skip-bound,
-/// `budget_spent` or `costs_computed`; the similarity-kernel runs left
-/// are counted in `AdaptiveGenerationStats::names_scored`. Retrieval runs
-/// only for positions that have a partial cell: a position whose cells
-/// are all full coverage only prepares its query name, which the row needs.
+/// pruned lower bounds feed the skip-bound); escalation rounds read the
+/// rows round 0 left and the memo. None of this changes a list, a
+/// skip-bound, `budget_spent` or `costs_computed`; the similarity-kernel
+/// runs left are counted in `AdaptiveGenerationStats::names_scored`.
+/// Retrieval runs only for positions that have a partial cell: a position
+/// whose cells are all full coverage only prepares its query name, which
+/// the row needs (none of its cells can escalate).
 ///
 /// **Rows across requests.** With a `NameRowCache` set
 /// (`set_name_row_cache`; the serve path passes its generation's), each
@@ -125,13 +127,14 @@
 /// **Threads.** Cells are independent, so with `set_num_threads(N > 1)`
 /// retrieval runs per query position and scoring per block of cells on N
 /// workers (`ParallelFor`), each with its own scratch, `BlockScorer` and
-/// copy of the block-max resume hints. The output never depends on N:
-///  * round 0, the planned single pass and fixed-C generation score every
-///    cell, so blocks simply land in their own cells. In the single pass
-///    the name rows are filled first, in (position, name chunk) items, and
-///    the workers then share them read-only; the gather runs in
+/// copy of the block-max resume hints. Every pass goes through one
+/// scorer, `ParallelCellScorer`, at every thread count; with one worker it
+/// runs inline on the calling thread. The output never depends on N:
+///  * the single pass scores every cell, so blocks simply land in their
+///    own cells. The name rows are filled first, in (position, name chunk)
+///    items, and the workers then share them read-only; the gather runs in
 ///    (position, schema range) items;
-///  * an escalation round must stop at the very cell where the serial loop
+///  * an escalation round must stop at the very cell where a serial loop
 ///    stops — the first one, in (position, schema) order, after which the
 ///    certified fraction reaches the target. Workers score order-contiguous
 ///    blocks speculatively into scratch, and blocks are *committed in
@@ -139,15 +142,19 @@
 ///    after every earlier cell of the round was committed and the target
 ///    was still unmet before it. Once the target is met the rest of the
 ///    round is discarded; that wasted work is counted separately
-///    (`AdaptiveGenerationStats::speculative_scored`).
+///    (`AdaptiveGenerationStats::speculative_scored`). One worker checks
+///    the target before it scores each cell, so it scores nothing past
+///    the stop point.
 /// A worker escalating a cell reads that cell's current entries in the
 /// output, for cost reuse, without a lock: only the cell's own in-order
 /// commit writes them, and that commit runs after the worker's block has
 /// finished.
-/// With one thread (the default) the round loop is the plain serial loop
-/// and the single pass runs the same stages inline.
 
 namespace smb::index {
+
+// Defined in candidate_generator.cc.
+struct PositionRetrieval;
+class ParallelCellScorer;
 
 /// \brief Per-query candidate lists — the sparse `match::CandidateProvider`
 /// handed to matchers. Immutable, safe for concurrent reads, and
@@ -234,8 +241,10 @@ struct AdaptiveCandidatePolicy {
   /// Per-query completeness target in [0, 1]: escalation stops as soon as
   /// `ProvablyCompleteFraction(delta) ≥` this. 1.0 demands every cell be
   /// certified — with an unbounded cap the answers are then byte-identical
-  /// to the dense path for every matcher; 0.0 never escalates (every cell
-  /// stays at `initial_limit`, exactly `Generate(query, initial_limit)`).
+  /// to the dense path for every matcher; 0.0 is the fixed-C policy
+  /// (`--candidates=C`): it never escalates, so every cell stays at
+  /// `initial_limit`, and `Generate(query, C)` is this policy with
+  /// `initial_limit` C.
   double min_provable_completeness = 1.0;
   /// Candidate list size every cell starts at (round 0).
   size_t initial_limit = 4;
@@ -298,9 +307,11 @@ struct AdaptiveGenerationStats {
   /// 0 without a cache. Those positions scored no name.
   uint64_t rows_cached = 0;
   /// Candidates scored on worker threads for cells past the point where
-  /// the target was met, then discarded (see "Threads" above). Always 0
-  /// with one thread; with `names_scored`, the only field that may vary
-  /// with the thread count or the scheduling.
+  /// an escalation round met the target, then discarded (see "Threads"
+  /// above). Always 0 with one thread, which checks the target before
+  /// each cell, and when no round runs (target 0, or the planned rounds);
+  /// with `names_scored`, the only field that may vary with the thread
+  /// count or the scheduling.
   uint64_t speculative_scored = 0;
   /// `ProvablyCompleteFraction(delta_threshold)` of the final lists — the
   /// certified per-query bound.
@@ -320,7 +331,8 @@ class CandidateGenerator {
                      match::ObjectiveOptions objective);
 
   /// \brief Generates the top-`limit` candidate lists for every
-  /// (query pre-order position, repository schema) cell.
+  /// (query pre-order position, repository schema) cell: the fixed-C
+  /// policy, `GenerateAdaptive` at target 0 with `initial_limit` `limit`.
   Result<QueryCandidates> Generate(const schema::Schema& query,
                                    size_t limit) const;
 
@@ -329,15 +341,14 @@ class CandidateGenerator {
   /// geometrically growing limits until the fraction of cells certified
   /// complete at `delta_threshold` reaches
   /// `policy.min_provable_completeness`, or every uncertified cell has hit
-  /// its cap. Retrieval runs once per query position and is reused across
-  /// rounds, and so are the exact costs of an escalated cell's entries;
-  /// scoring reuses the same max-heap/cutoff machinery as `Generate`, so
-  /// kept candidate costs stay bit-identical to `ComputeNodeCost`. When no
-  /// list short of its whole schema can certify at `delta_threshold`, the
-  /// rounds are planned from the schema sizes and every cell is scored
-  /// once, full-coverage cells by the name-row gather (see the file
-  /// comment). `stats`, when non-null, receives the
-  /// spent budget and the achieved bound.
+  /// its cap. Round 0 scores every cell once, full-coverage cells by the
+  /// name-row gather (see the file comment). Retrieval runs once per query
+  /// position and is reused across rounds, and so are the exact costs of
+  /// an escalated cell's entries; every cost stays bit-identical to
+  /// `ComputeNodeCost`. When no list short of its whole schema can certify
+  /// at `delta_threshold`, the rounds are planned from the schema sizes
+  /// and that single pass runs at the final limits instead. `stats`, when
+  /// non-null, receives the spent budget and the achieved bound.
   Result<QueryCandidates> GenerateAdaptive(
       const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
       double delta_threshold, AdaptiveGenerationStats* stats = nullptr) const;
@@ -381,13 +392,16 @@ class CandidateGenerator {
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
   /// Scores every cell of `out` once, at `limits[cell]` (position-major),
-  /// from scratch on the workers, gathering each cell whose limit reaches
+  /// from scratch on `workers`, gathering each cell whose limit reaches
   /// its schema size from its position's name row (cached or scored), and
   /// adds the candidates considered, costs computed, names scored and rows
-  /// cached to `spent`.
-  void ScoreEveryCell(const schema::Schema& query,
+  /// cached to `spent`. Leaves each position's retrieval (and row) in
+  /// `retrievals` for the escalation rounds.
+  void ScoreEveryCell(ParallelCellScorer& workers, const schema::Schema& query,
                       const std::vector<schema::NodeId>& preorder,
-                      const std::vector<size_t>& limits, QueryCandidates* out,
+                      const std::vector<size_t>& limits,
+                      std::vector<PositionRetrieval>* retrievals,
+                      QueryCandidates* out,
                       AdaptiveGenerationStats* spent) const;
   /// Recomputes generated/skipped totals from the final cells (the
   /// adaptive path re-scores cells, so accumulating during generation

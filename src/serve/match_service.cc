@@ -19,26 +19,23 @@ namespace smb::serve {
 namespace {
 
 /// Fingerprints every result-shaping knob of `options` plus the serving
-/// generation's repository — the same scheme for every mode, so a shed
-/// request (adaptive target lowered) hashes exactly like a direct run
-/// configured at that target, and a cache entry computed against one
-/// repository generation can never answer for another. Thread counts and
-/// shard sizes deliberately stay out: they never change answers.
+/// generation's repository — the same scheme for every policy, so a shed
+/// request (target lowered) hashes exactly like a direct run configured
+/// at that target, and a cache entry computed against one repository
+/// generation can never answer for another. Thread counts and shard sizes
+/// deliberately stay out: they never change answers.
 uint64_t FingerprintServiceOptions(const match::MatchOptions& match_options,
                                    const engine::BatchMatchOptions& eopts,
                                    uint64_t repo_fingerprint) {
+  const index::AdaptiveCandidatePolicy policy = eopts.policy();
   match::Fingerprinter fp;
   fp.U64(match::FingerprintMatchOptions(match_options))
       .U64(repo_fingerprint)
-      .U64(eopts.candidate_limit)
       .U64(eopts.global_top_k)
-      .Bool(eopts.adaptive.has_value());
-  if (eopts.adaptive.has_value()) {
-    fp.Double(eopts.adaptive->min_provable_completeness)
-        .U64(eopts.adaptive->initial_limit)
-        .U64(eopts.adaptive->growth_factor)
-        .U64(eopts.adaptive->max_limit);
-  }
+      .Double(policy.min_provable_completeness)
+      .U64(policy.initial_limit)
+      .U64(policy.growth_factor)
+      .U64(policy.max_limit);
   return fp.digest();
 }
 
@@ -63,8 +60,9 @@ Result<MatchResponse> MatchService::Execute(const Request& request,
   eopts.prepared_repository =
       index->prepared.has_value() ? &*index->prepared : nullptr;
   eopts.name_row_cache = index->name_rows.get();
+  const bool bound_driven = this->bound_driven();
   bool shed = false;
-  if (eopts.adaptive.has_value()) {
+  if (bound_driven) {
     // A per-request `target=` ask replaces the configured base target but
     // stays inside the operator's envelope: clamped to the shed floor,
     // and still subject to the pressure ramp below it.
@@ -75,6 +73,7 @@ Result<MatchResponse> MatchService::Execute(const Request& request,
     }
     const double effective = EffectiveTarget(policy, pressure);
     shed = effective < policy.base_target;
+    eopts.adaptive = eopts.policy();
     eopts.adaptive->min_provable_completeness = effective;
   } else if (request.target_bound > 0.0) {
     return Status::FailedPrecondition(
@@ -118,7 +117,7 @@ Result<MatchResponse> MatchService::Execute(const Request& request,
   // On a hit the certificate was stored with the entry; a served answer
   // is never silently stripped of its bound.
   response.certified = cached->provably_complete_fraction;
-  if (eopts.adaptive.has_value()) {
+  if (bound_driven) {
     response.has_target = true;
     response.target = eopts.adaptive->min_provable_completeness;
     response.shed = shed;
@@ -128,7 +127,7 @@ Result<MatchResponse> MatchService::Execute(const Request& request,
     response.has_engine_detail = true;
     response.index_ms = stats.index_seconds * 1e3;
     response.match_ms = stats.match_seconds * 1e3;
-    if (stats.adaptive_mode) {
+    if (bound_driven) {
       response.has_adaptive_detail = true;
       response.budget = stats.adaptive.budget_spent;
       response.rounds = stats.adaptive.rounds;

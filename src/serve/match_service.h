@@ -38,12 +38,12 @@ struct MatchServiceConfig {
   match::MatchOptions match_options;
   /// Engine configuration; `prepared_repository` and `name_row_cache` are
   /// overridden per request with the current generation's index and its
-  /// name-row cache, `adaptive` selects bound-driven mode.
+  /// name-row cache. Its candidate policy selects the mode: bound-driven
+  /// unless the target is 0 (fixed-C, `BatchMatchOptions::bound_driven`).
   engine::BatchMatchOptions engine_options;
   engine::QueryResultCache* cache = nullptr;
-  /// Shedding configuration; only consulted in bound-driven mode
-  /// (`engine_options.adaptive` set). `base_target` must equal the
-  /// adaptive policy's `min_provable_completeness`.
+  /// Shedding configuration; only consulted in bound-driven mode.
+  /// `base_target` must equal the policy's `min_provable_completeness`.
   LoadShedPolicy shed;
   /// How `Reload` constructs replacement generations (captured at
   /// startup; see ServingIndexOptions).
@@ -91,9 +91,9 @@ class MatchService {
     return index_;
   }
 
-  /// Whether requests run in bound-driven (adaptive) mode — the mode that
-  /// can shed.
-  bool adaptive() const { return config_.engine_options.adaptive.has_value(); }
+  /// Whether requests run in bound-driven mode — the mode that can shed
+  /// and that reports `target=`, `shed=`, `budget=` and `rounds=`.
+  bool bound_driven() const { return config_.engine_options.bound_driven(); }
 
   const engine::QueryResultCache* cache() const { return config_.cache; }
 

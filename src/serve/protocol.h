@@ -104,7 +104,7 @@ struct MatchResponse {
   bool has_engine_detail = false;
   double index_ms = 0.0;
   double match_ms = 0.0;
-  /// Adaptive engine detail, misses in bound-driven mode only.
+  /// Generation budget detail, misses in bound-driven mode only.
   bool has_adaptive_detail = false;
   uint64_t budget = 0;
   uint64_t rounds = 0;

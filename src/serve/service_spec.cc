@@ -22,7 +22,8 @@ const sim::SynonymTable& BuiltinSynonyms() {
 ServiceSpec::ServiceSpec() {
   match_options.delta_threshold = 0.25;
   match_options.objective.name.synonyms = &BuiltinSynonyms();
-  engine_options.candidate_limit = 16;
+  engine_options.adaptive = index::AdaptiveCandidatePolicy{
+      .min_provable_completeness = 0.0, .initial_limit = 16};
 }
 
 ServingIndexOptions ServiceSpec::index_options() const {
@@ -70,8 +71,15 @@ Result<ServiceSpec> ParseServiceSpec(const CommandLine& cl, ServiceSpec spec) {
                        cl.GetUint("threads", engine.num_threads));
   SMB_ASSIGN_OR_RETURN(engine.global_top_k,
                        cl.GetUint("top", engine.global_top_k));
-  SMB_ASSIGN_OR_RETURN(engine.candidate_limit,
-                       cl.GetUint("candidates", engine.candidate_limit));
+  if (cl.Has("candidates")) {
+    // Fixed-C is the target-0 policy; C = 0 asks for no budget at all.
+    SMB_ASSIGN_OR_RETURN(const uint64_t limit, cl.GetUint("candidates", 0));
+    engine.adaptive.reset();
+    if (limit > 0) {
+      engine.adaptive = index::AdaptiveCandidatePolicy{
+          .min_provable_completeness = 0.0, .initial_limit = limit};
+    }
+  }
   SMB_ASSIGN_OR_RETURN(spec.cache_capacity,
                        cl.GetUint("cache-size", spec.cache_capacity));
 
@@ -98,7 +106,6 @@ Result<ServiceSpec> ParseServiceSpec(const CommandLine& cl, ServiceSpec spec) {
                        cl.GetUint("initial-candidates", policy.initial_limit));
   SMB_ASSIGN_OR_RETURN(policy.max_limit,
                        cl.GetUint("max-candidates", policy.max_limit));
-  engine.candidate_limit = 0;
   engine.adaptive = policy;
   spec.shed.base_target = policy.min_provable_completeness;
   SMB_ASSIGN_OR_RETURN(spec.shed.min_target,

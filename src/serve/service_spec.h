@@ -35,20 +35,23 @@ struct ServiceSpec {
   match::MatchOptions match_options;
   std::string matcher_kind = "exhaustive";
   match::MatcherFactoryOptions factory_options;
-  /// Fixed-C (`candidate_limit`) or bound-driven (`adaptive`, with
-  /// `candidate_limit` 0) — never both; plus threads and top-k (the shard
-  /// size stays heuristic: only `match --shard-size` sets one).
+  /// The candidate policy (`adaptive`: fixed-C is its target 0, and no
+  /// policy is the exact run), plus threads and top-k (the shard size
+  /// stays heuristic: only `match --shard-size` sets one).
   engine::BatchMatchOptions engine_options;
   size_t cache_capacity = 64;
-  /// Shedding envelope: `base_target` is the adaptive target (1.0 in
-  /// fixed-C mode) and `min_target` its floor.
+  /// Shedding envelope: `base_target` is the bound-driven target and
+  /// `min_target` its floor (both stay 1.0 unless `--target-bound` is
+  /// given; a fixed-C service never reads them).
   LoadShedPolicy shed;
 
-  /// Serve defaults: Δ = 0.25, builtin synonyms, C = 16.
+  /// Serve defaults: Δ = 0.25, builtin synonyms, C = 16 (the policy
+  /// {target 0, initial limit 16}).
   ServiceSpec();
 
-  /// True in bound-driven mode (`--target-bound` / `target_bound` given).
-  bool bound_driven() const { return engine_options.adaptive.has_value(); }
+  /// True unless the policy is fixed-C (`BatchMatchOptions::bound_driven`):
+  /// `--target-bound` / `target_bound` given, or no budget at all.
+  bool bound_driven() const { return engine_options.bound_driven(); }
 
   /// How to open a generation for this spec, with startup semantics:
   /// build when the snapshot is missing, then save it.
@@ -66,7 +69,9 @@ struct SettingName {
 const std::vector<SettingName>& ServiceSettingNames();
 
 /// \brief Parses the service flags of `cl`. Absent flags keep their value
-/// in `defaults` (`match` passes C = 0: an exact run unless asked).
+/// in `defaults` (`match` passes no policy: an exact run unless asked).
+/// `--candidates=C` sets the fixed-C policy {target 0, initial limit C};
+/// C = 0 clears the policy.
 Result<ServiceSpec> ParseServiceSpec(const CommandLine& cl,
                                      ServiceSpec defaults = ServiceSpec());
 

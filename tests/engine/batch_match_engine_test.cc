@@ -246,7 +246,8 @@ TEST_P(ExactRunTest, NoBudgetEqualsTheDirectRun) {
                        " prebuilt=" + std::to_string(prebuilt));
           ExpectSameAnswers(*batched, *direct);
           EXPECT_EQ(stats.provably_complete_fraction, 1.0);
-          EXPECT_TRUE(stats.adaptive_mode);
+          EXPECT_EQ(stats.adaptive.cells_certified,
+                    stats.adaptive.cells_total);
           EXPECT_FALSE(stats.fell_back_to_single_run);
           // Only the engine's own index build counts as precompute.
           if (prebuilt) {

@@ -59,7 +59,7 @@ TEST(EngineEdgeCasesTest, EmptyRepositorySparseModeFailsCleanly) {
   schema::SchemaRepository empty_repo;
   match::ExhaustiveMatcher matcher;
   BatchMatchOptions options;
-  options.candidate_limit = 4;
+  options.adaptive = testing::FixedPolicy(4);
   options.num_threads = 4;
   BatchMatchEngine engine(options);
   BatchMatchStats stats = GarbageStats();
@@ -76,7 +76,7 @@ TEST(EngineEdgeCasesTest, EmptyQueryFailsWithDefinedStats) {
   match::ExhaustiveMatcher matcher;
   for (size_t candidates : {size_t{0}, size_t{4}}) {
     BatchMatchOptions options;
-    options.candidate_limit = candidates;
+    if (candidates > 0) options.adaptive = testing::FixedPolicy(candidates);
     options.num_threads = 2;
     BatchMatchEngine engine(options);
     BatchMatchStats stats = GarbageStats();
@@ -100,7 +100,7 @@ TEST(EngineEdgeCasesTest, InvalidOptionCombinationsStillWriteStats) {
   auto prepared = index::PreparedRepository::Build(other, {});
   ASSERT_TRUE(prepared.ok());
   BatchMatchOptions options;
-  options.candidate_limit = 4;
+  options.adaptive = testing::FixedPolicy(4);
   options.prepared_repository = &*prepared;
   BatchMatchEngine engine(options);
   BatchMatchStats stats = GarbageStats();
@@ -182,7 +182,7 @@ TEST(EngineEdgeCasesTest, SingleElementShardsSurviveTheMerge) {
     BatchMatchOptions options;
     options.num_threads = 4;
     options.shard_size = 1;
-    options.candidate_limit = candidates;
+    if (candidates > 0) options.adaptive = testing::FixedPolicy(candidates);
     BatchMatchEngine engine(options);
     BatchMatchStats stats = GarbageStats();
     auto batch = engine.Run(matcher, query, repo, {}, &stats);

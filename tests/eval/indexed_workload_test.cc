@@ -6,6 +6,7 @@
 
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
+#include "../testing/fixtures.h"
 
 namespace smb::eval {
 namespace {
@@ -61,7 +62,8 @@ TEST(IndexedWorkloadTest, FullLimitReproducesDenseAnswersWithRecallOne) {
   const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.engine_options.candidate_limit = setup.max_schema_size + 2;
+  wopts.engine_options.adaptive =
+      testing::FixedPolicy(setup.max_schema_size + 2);
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
                                    setup.options, {0.1, 0.2, 0.25}, wopts);
@@ -101,7 +103,7 @@ TEST(IndexedWorkloadTest, SmallLimitReportsRecallBelowOneAndSkips) {
   const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.engine_options.candidate_limit = 2;
+  wopts.engine_options.adaptive = testing::FixedPolicy(2);
   wopts.engine_options.num_threads = 2;
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
@@ -125,7 +127,7 @@ TEST(IndexedWorkloadTest, WithoutCompareDenseSkipsDenseRuns) {
   const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.engine_options.candidate_limit = 4;
+  wopts.engine_options.adaptive = testing::FixedPolicy(4);
   wopts.compare_dense = false;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
                                    setup.options, {}, wopts);
@@ -146,13 +148,15 @@ TEST(IndexedWorkloadTest, RejectsEmptyWorkloadAndZeroLimit) {
   EXPECT_FALSE(
       RunIndexedWorkload(**matcher, {}, prepared, setup.options, {}, {})
           .ok());
+  // No candidate policy, and a fixed C of 0, are both refused.
   IndexedWorkloadOptions wopts;
-  wopts.engine_options.candidate_limit = 0;
   EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, prepared,
                                   setup.options, {}, wopts)
                    .ok());
-  // The zero limit is fine in the bound-driven mode: candidate_limit is
-  // not the budget there.
+  wopts.engine_options.adaptive = testing::FixedPolicy(0);
+  EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, prepared,
+                                  setup.options, {}, wopts)
+                   .ok());
   wopts.engine_options.adaptive = index::AdaptiveCandidatePolicy{};
   EXPECT_TRUE(RunIndexedWorkload(**matcher, setup.problems, prepared,
                                  setup.options, {}, wopts)
@@ -167,7 +171,6 @@ TEST(IndexedWorkloadTest, AdaptiveModeReportsBudgetAndCertifiedBound) {
   const index::PreparedRepository prepared = Prepare(setup);
 
   IndexedWorkloadOptions wopts;
-  wopts.engine_options.candidate_limit = 0;
   index::AdaptiveCandidatePolicy policy;
   policy.min_provable_completeness = 0.9;
   wopts.engine_options.adaptive = policy;

@@ -10,6 +10,7 @@
 
 #include "engine/batch_match_engine.h"
 #include "index/candidate_generator.h"
+#include "index/name_row_cache.h"
 #include "index/prepared_repository.h"
 #include "match/matcher_factory.h"
 #include "synth/generator.h"
@@ -97,7 +98,6 @@ TEST_P(AdaptiveEquivalenceTest, TargetOneReproducesDenseAnyThreadCount) {
     ExpectIdentical(*sparse, *dense,
                     std::string(GetParam()) + " threads=" +
                         std::to_string(threads));
-    EXPECT_TRUE(stats.adaptive_mode);
     EXPECT_EQ(stats.provably_complete_fraction, 1.0);
     EXPECT_EQ(stats.adaptive.achieved_completeness, 1.0);
     EXPECT_EQ(stats.adaptive.cells_certified, stats.adaptive.cells_total);
@@ -650,39 +650,62 @@ TEST(AdaptiveCandidateTest, FiniteSkipBoundsNeverExceedOne) {
 }
 
 TEST(AdaptiveCandidateTest, TargetZeroMatchesFixedGenerateBitExactly) {
+  // Fixed-C is the target-0 policy: no cell escalates, and every cell's
+  // list and skip-bound are `Generate(C)`'s, at every Δ (inside and
+  // outside the planned regime), thread count and initial limit (a full
+  // schema included), with and without a name row cache. The budget is
+  // one pass over the scoring sets and the same everywhere.
   AdaptiveSetup setup = MakeSetup(15, 61);
-  auto prepared =
-      PreparedRepository::Build(setup.repo, setup.options.objective.name);
+  const match::ObjectiveOptions& objective = setup.options.objective;
+  auto prepared = PreparedRepository::Build(setup.repo, objective.name);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  CandidateGenerator generator(&*prepared, setup.options.objective);
-
-  AdaptiveCandidatePolicy policy;
-  policy.min_provable_completeness = 0.0;
-  policy.initial_limit = 4;
-  AdaptiveGenerationStats stats;
-  auto adaptive = generator.GenerateAdaptive(
-      setup.query, policy, setup.options.delta_threshold, &stats);
-  ASSERT_TRUE(adaptive.ok()) << adaptive.status();
-  auto fixed = generator.Generate(setup.query, 4);
-  ASSERT_TRUE(fixed.ok()) << fixed.status();
-
-  EXPECT_EQ(stats.rounds, 0u);
-  EXPECT_EQ(stats.cells_escalated, 0u);
-  EXPECT_EQ(adaptive->candidates_generated(), fixed->candidates_generated());
-  EXPECT_EQ(adaptive->candidates_skipped(), fixed->candidates_skipped());
-  ASSERT_EQ(adaptive->positions(), fixed->positions());
-  ASSERT_EQ(adaptive->schema_count(), fixed->schema_count());
-  for (size_t pos = 0; pos < fixed->positions(); ++pos) {
-    for (size_t si = 0; si < fixed->schema_count(); ++si) {
-      const auto schema_index = static_cast<int32_t>(si);
-      EXPECT_EQ(adaptive->SkipLowerBound(pos, schema_index),
-                fixed->SkipLowerBound(pos, schema_index));
-      const auto* a = adaptive->CandidatesFor(pos, schema_index);
-      const auto* f = fixed->CandidatesFor(pos, schema_index);
-      ASSERT_EQ(a->size(), f->size());
-      for (size_t i = 0; i < f->size(); ++i) {
-        EXPECT_EQ((*a)[i].node, (*f)[i].node);
-        EXPECT_EQ((*a)[i].cost, (*f)[i].cost);
+  size_t max_schema_size = 0;
+  for (const schema::Schema& s : setup.repo.schemas()) {
+    max_schema_size = std::max(max_schema_size, s.size());
+  }
+  CandidateGenerator scratch(&*prepared, objective);
+  GenerateCache by_limit;
+  for (double delta : {0.02, 0.25}) {
+    for (size_t initial : {size_t{1}, size_t{4}, max_schema_size}) {
+      AdaptiveCandidatePolicy policy;
+      policy.min_provable_completeness = 0.0;
+      policy.initial_limit = initial;
+      const Replay replay = ReplayFromScratch(
+          scratch, *prepared, setup.query, objective, policy, delta,
+          &by_limit);
+      ASSERT_EQ(replay.stats.rounds, 0u);
+      const QueryCandidates& fixed = by_limit.at(initial);
+      for (size_t threads : {1u, 3u}) {
+        for (bool cached : {false, true}) {
+          const std::string label =
+              "delta=" + std::to_string(delta) +
+              " initial=" + std::to_string(initial) +
+              " threads=" + std::to_string(threads) +
+              " cached=" + std::to_string(cached);
+          NameRowCache cache(&*prepared);
+          CandidateGenerator generator(&*prepared, objective);
+          generator.set_num_threads(threads);
+          if (cached) generator.set_name_row_cache(&cache);
+          // A cached run twice: the second one reads every row it can.
+          for (int run = 0; run < (cached ? 2 : 1); ++run) {
+            AdaptiveGenerationStats stats;
+            auto adaptive =
+                generator.GenerateAdaptive(setup.query, policy, delta, &stats);
+            ASSERT_TRUE(adaptive.ok()) << adaptive.status();
+            ExpectMatchesReplay(*adaptive, stats, replay, by_limit,
+                                label + " run=" + std::to_string(run));
+            EXPECT_EQ(stats.cells_escalated, 0u) << label;
+            EXPECT_EQ(stats.speculative_scored, 0u) << label;
+            EXPECT_EQ(stats.budget_spent, replay.final_scoring_sets) << label;
+            EXPECT_EQ(stats.costs_computed, stats.budget_spent) << label;
+            EXPECT_EQ(adaptive->candidates_generated(),
+                      fixed.candidates_generated())
+                << label;
+            EXPECT_EQ(adaptive->candidates_skipped(),
+                      fixed.candidates_skipped())
+                << label;
+          }
+        }
       }
     }
   }
@@ -787,7 +810,6 @@ TEST(AdaptiveEngineTest, PerShardBudgetsSumToTotalAndStatsPropagate) {
       engine.Run(*matcher, setup.query, setup.repo, setup.options, &stats);
   ASSERT_TRUE(run.ok()) << run.status();
 
-  EXPECT_TRUE(stats.adaptive_mode);
   EXPECT_GE(stats.provably_complete_fraction, 0.9);
   EXPECT_EQ(stats.provably_complete_fraction,
             stats.adaptive.achieved_completeness);

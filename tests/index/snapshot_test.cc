@@ -197,7 +197,7 @@ TEST(SnapshotTest, EngineAnswersBitIdenticalAcrossMatchersAndThreads) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
       engine::BatchMatchOptions bopts;
       bopts.num_threads = threads;
-      bopts.candidate_limit = 6;
+      bopts.adaptive = testing::FixedPolicy(6);
 
       bopts.prepared_repository = &*built;
       engine::BatchMatchEngine from_built(bopts);

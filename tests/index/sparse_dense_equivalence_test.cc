@@ -98,7 +98,7 @@ TEST_P(SparseDenseEquivalenceTest, FullLimitThroughEngineAnyThreadCount) {
   for (size_t threads : {1u, 3u}) {
     engine::BatchMatchOptions bopts;
     bopts.num_threads = threads;
-    bopts.candidate_limit = setup.max_schema_size + 1;
+    bopts.adaptive = testing::FixedPolicy(setup.max_schema_size + 1);
     bopts.prepared_repository = &*prepared;
     engine::BatchMatchEngine engine(bopts);
     engine::BatchMatchStats stats;
@@ -124,7 +124,7 @@ TEST_P(SparseDenseEquivalenceTest, SmallLimitIsSubsetWithSameObjective) {
 
   engine::BatchMatchOptions bopts;
   bopts.num_threads = 2;
-  bopts.candidate_limit = 3;
+  bopts.adaptive = testing::FixedPolicy(3);
   engine::BatchMatchEngine engine(bopts);
   engine::BatchMatchStats stats;
   auto sparse =
@@ -166,11 +166,54 @@ TEST_P(SparseDenseEquivalenceTest, NonInjectiveFullLimitReproducesDense) {
 
   engine::BatchMatchOptions bopts;
   bopts.num_threads = 2;
-  bopts.candidate_limit = setup.max_schema_size + 1;
+  bopts.adaptive = testing::FixedPolicy(setup.max_schema_size + 1);
   engine::BatchMatchEngine engine(bopts);
   auto sparse = engine.Run(**matcher, setup.query, setup.repo, setup.options);
   ASSERT_TRUE(sparse.ok()) << sparse.status();
   ExpectIdentical(*sparse, *dense, GetParam());
+}
+
+TEST_P(SparseDenseEquivalenceTest, FixedPolicyEqualsMatchingOverGenerate) {
+  // `--candidates=C` is the target-0 policy: through the engine, at every
+  // thread count and shard size, its answers are those of matching over
+  // `Generate(C)`'s lists directly.
+  EquivSetup setup = MakeSetup(25, 18);
+  auto matcher = match::MakeMatcher(GetParam(), setup.repo);
+  ASSERT_TRUE(matcher.ok()) << matcher.status();
+  auto prepared =
+      PreparedRepository::Build(setup.repo, setup.options.objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  CandidateGenerator generator(&*prepared, setup.options.objective);
+  for (size_t limit : {size_t{3}, setup.max_schema_size + 1}) {
+    auto candidates = generator.Generate(setup.query, limit);
+    ASSERT_TRUE(candidates.ok()) << candidates.status();
+    match::ObjectiveFunction objective(&setup.query, &setup.repo,
+                                       setup.options.objective, &*candidates);
+    auto direct = smb::testing::MatchWithObjective(**matcher, objective,
+                                                   setup.options);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (size_t shard_size : {1u, 7u, 0u}) {
+        engine::BatchMatchOptions bopts;
+        bopts.num_threads = threads;
+        bopts.shard_size = shard_size;
+        bopts.prepared_repository = &*prepared;
+        bopts.adaptive = testing::FixedPolicy(limit);
+        engine::BatchMatchStats stats;
+        auto sparse = engine::BatchMatchEngine(bopts).Run(
+            **matcher, setup.query, setup.repo, setup.options, &stats);
+        ASSERT_TRUE(sparse.ok()) << sparse.status();
+        ExpectIdentical(*sparse, *direct,
+                        std::string(GetParam()) +
+                            " C=" + std::to_string(limit) +
+                            " threads=" + std::to_string(threads) +
+                            " shard_size=" + std::to_string(shard_size));
+        EXPECT_EQ(stats.match.candidates_generated,
+                  candidates->candidates_generated());
+        EXPECT_EQ(stats.adaptive.rounds, 0u);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Matchers, SparseDenseEquivalenceTest,
@@ -188,7 +231,7 @@ TEST(SparseEngineTest, RejectsForeignIndex) {
   // A prebuilt index over a different repository object is rejected.
   EquivSetup other = MakeSetup(6, 16);
   engine::BatchMatchOptions bopts;
-  bopts.candidate_limit = 4;
+  bopts.adaptive = testing::FixedPolicy(4);
   bopts.prepared_repository = &*prepared;
   engine::BatchMatchEngine mismatched(bopts);
   EXPECT_FALSE(
@@ -205,7 +248,7 @@ TEST(SparseEngineTest, ClusterMatcherFallsBackIgnoringCandidates) {
   ASSERT_TRUE(direct.ok()) << direct.status();
 
   engine::BatchMatchOptions bopts;
-  bopts.candidate_limit = 4;
+  bopts.adaptive = testing::FixedPolicy(4);
   engine::BatchMatchEngine engine(bopts);
   engine::BatchMatchStats stats;
   auto run =

@@ -262,12 +262,23 @@ TEST(LoadHarnessIntegrationTest, FixedPolicyServiceRejectsPerRequestTargets) {
   engine::QueryResultCache cache(16);
   serve::MatchServiceConfig config;
   config.engine_options.num_threads = 1;
-  config.engine_options.candidate_limit = 16;
+  config.engine_options.adaptive = testing::FixedPolicy(16);
   config.cache = &cache;
   serve::MatchService service(*index, std::move(config));
+  EXPECT_FALSE(service.bound_driven());
 
+  // Its `ok` lines carry none of the bound-driven fields.
   serve::Request direct;
   direct.query_path = query_dir + "/q0.txt";
+  auto served = service.Execute(direct, /*pressure=*/0.0);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_FALSE(served->cache_hit);
+  const std::string line = serve::FormatMatchResponse(*served);
+  EXPECT_NE(line.find("index_ms="), std::string::npos) << line;
+  for (const char* field : {"target=", "shed=", "budget=", "rounds="}) {
+    EXPECT_EQ(line.find(field), std::string::npos) << field << " in " << line;
+  }
+
   direct.target_bound = 0.9;
   auto rejected = service.Execute(direct, /*pressure=*/0.0);
   ASSERT_FALSE(rejected.ok());

@@ -46,8 +46,8 @@ std::string Describe(const ServiceSpec& spec) {
       << spec.matcher_kind << " " << f.beam_width << " " << f.top_m_clusters
       << " " << f.k_per_schema << " " << f.max_frontier << " "
       << f.cluster_seed << " | " << e.num_threads << " " << e.shard_size
-      << " " << e.global_top_k << " " << e.candidate_limit << " "
-      << e.prepared_repository << " " << e.adaptive.has_value();
+      << " " << e.global_top_k << " " << e.prepared_repository << " "
+      << e.adaptive.has_value();
   if (e.adaptive.has_value()) {
     out << " " << e.adaptive->min_provable_completeness << " "
         << e.adaptive->initial_limit << " " << e.adaptive->growth_factor
@@ -63,12 +63,22 @@ void ExpectSameSpec(const ServiceSpec& a, const ServiceSpec& b) {
   EXPECT_EQ(Describe(a), Describe(b));
 }
 
+/// The spec's candidate policy is {target, initial, growth 2, no cap}.
+void ExpectPolicy(const ServiceSpec& spec, double target, size_t initial) {
+  ASSERT_TRUE(spec.engine_options.adaptive.has_value());
+  const index::AdaptiveCandidatePolicy& policy = *spec.engine_options.adaptive;
+  EXPECT_EQ(policy.min_provable_completeness, target);
+  EXPECT_EQ(policy.initial_limit, initial);
+  EXPECT_EQ(policy.growth_factor, 2u);
+  EXPECT_EQ(policy.max_limit, 0u);
+}
+
 TEST(ServiceSpecTest, DefaultsAreTheServeDefaults) {
   const ServiceSpec spec = ParseServiceSpec(Cli({})).value();
   EXPECT_EQ(spec.match_options.delta_threshold, 0.25);
   EXPECT_NE(spec.match_options.objective.name.synonyms, nullptr);
   EXPECT_EQ(spec.matcher_kind, "exhaustive");
-  EXPECT_EQ(spec.engine_options.candidate_limit, 16u);
+  ExpectPolicy(spec, 0.0, 16);
   EXPECT_EQ(spec.engine_options.num_threads, 1u);
   EXPECT_FALSE(spec.bound_driven());
   EXPECT_EQ(spec.cache_capacity, 64u);
@@ -132,9 +142,7 @@ TEST(ServiceSpecTest, SameSettingsFromEitherSourceGiveEqualSpecs) {
   ASSERT_TRUE(from_batch.ok()) << from_batch.status();
   ExpectSameSpec(*from_cli, *from_batch);
   EXPECT_TRUE(from_cli->bound_driven());
-  EXPECT_EQ(from_cli->engine_options.candidate_limit, 0u);
-  EXPECT_EQ(from_cli->engine_options.adaptive->min_provable_completeness,
-            0.85);
+  ExpectPolicy(*from_cli, 0.85, 4);
   EXPECT_EQ(from_cli->shed.base_target, 0.85);
   EXPECT_EQ(from_cli->shed.min_target, 0.6);
 }
@@ -216,12 +224,30 @@ TEST(ServiceSpecTest, ShardSizeIsNotAServiceSetting) {
 
 TEST(ServiceSpecTest, DefaultsParameterKeepsAbsentSettings) {
   ServiceSpec dense;
-  dense.engine_options.candidate_limit = 0;
-  EXPECT_EQ(ParseServiceSpec(Cli({}), dense)->engine_options.candidate_limit,
-            0u);
-  EXPECT_EQ(ParseServiceSpec(Cli({"--candidates=8"}), dense)
-                ->engine_options.candidate_limit,
-            8u);
+  dense.engine_options.adaptive.reset();
+  EXPECT_FALSE(
+      ParseServiceSpec(Cli({}), dense)->engine_options.adaptive.has_value());
+  ExpectPolicy(*ParseServiceSpec(Cli({"--candidates=8"}), dense), 0.0, 8);
+}
+
+TEST(ServiceSpecTest, CandidatesIsTheTargetZeroPolicy) {
+  for (const std::vector<std::string>& flags :
+       {std::vector<std::string>{"--candidates=8"},
+        std::vector<std::string>{"--candidates=8", "--threads=2"}}) {
+    auto spec = ParseServiceSpec(Cli(flags));
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    ExpectPolicy(*spec, 0.0, 8);
+    EXPECT_FALSE(spec->bound_driven());
+    EXPECT_FALSE(spec->engine_options.bound_driven());
+  }
+  auto batch = ParseServiceSpec(Batch({{"candidates", "8"}}));
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  ExpectPolicy(*batch, 0.0, 8);
+  // C = 0 asks for no budget: no policy, the exact (target 1.0) run.
+  auto exact = ParseServiceSpec(Cli({"--candidates=0"}));
+  ASSERT_TRUE(exact.ok()) << exact.status();
+  EXPECT_FALSE(exact->engine_options.adaptive.has_value());
+  EXPECT_TRUE(exact->bound_driven());
 }
 
 TEST(ServiceSpecTest, IndexOptionsCarryStartupSemanticsAndTheScorer) {
@@ -253,7 +279,7 @@ TEST(ServiceSpecTest, BuildMatchServiceWiresTheSpecIntoTheService) {
   ASSERT_NE(built.service, nullptr);
   EXPECT_EQ(built.cache->capacity(), 7u);
   EXPECT_EQ(built.service->cache(), built.cache.get());
-  EXPECT_TRUE(built.service->adaptive());
+  EXPECT_TRUE(built.service->bound_driven());
   EXPECT_EQ(built.service->index().get(), index->get());
   // No default repository directory: a bare reload is refused.
   auto reload = built.service->Reload("/nonexistent.snap", "");

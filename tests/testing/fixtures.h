@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "index/candidate_generator.h"
 #include "match/answer_set.h"
 #include "match/matcher.h"
 #include "match/objective.h"
@@ -10,8 +11,9 @@
 #include "schema/schema.h"
 
 /// \file fixtures.h
-/// \brief Small hand-built schemas shared by matcher and eval tests, and a
-/// whole-repository run over a caller-built objective.
+/// \brief Small hand-built schemas shared by matcher and eval tests, a
+/// whole-repository run over a caller-built objective, and the fixed-C
+/// candidate policy.
 
 namespace smb::testing {
 
@@ -94,6 +96,12 @@ inline Result<match::AnswerSet> MatchWithObjective(
                                            options, &answers, stats));
   answers.Finalize();
   return answers;
+}
+
+/// The policy `--candidates=C` parses to: target 0, so no cell escalates
+/// and every cell keeps its top `limit` candidates (`Generate(limit)`).
+inline index::AdaptiveCandidatePolicy FixedPolicy(size_t limit) {
+  return {.min_provable_completeness = 0.0, .initial_limit = limit};
 }
 
 }  // namespace smb::testing

@@ -302,11 +302,11 @@ int CmdMatch(const CommandLine& cl) {
   }
   // Unlike a service, `match` runs exact unless asked for a budget.
   serve::ServiceSpec exact;
-  exact.engine_options.candidate_limit = 0;
+  exact.engine_options.adaptive.reset();
   auto spec = serve::ParseServiceSpec(cl, exact);
   if (!spec.ok()) return Fail(spec.status());
   const engine::BatchMatchOptions& bopts = spec->engine_options;
-  const bool sparse = bopts.candidate_limit > 0 || bopts.adaptive;
+  const bool sparse = bopts.adaptive.has_value();
   const bool use_engine = cl.Has("threads") || sparse;
   if (cl.Has("shard-size") && !use_engine) {
     return Fail(Status::InvalidArgument(
@@ -354,7 +354,7 @@ int CmdMatch(const CommandLine& cl) {
                   << FormatDouble(bstats.provably_complete_fraction * 100.0,
                                   1)
                   << "%)";
-        if (bstats.adaptive_mode) PrintAdaptiveStats(bstats);
+        PrintAdaptiveStats(bstats);
       }
       std::cout << ", match " << bstats.match_seconds << "s\n";
     }
@@ -428,6 +428,7 @@ int CmdWorkload(const CommandLine& cl) {
   const serve::ServingIndex& served = **opened;
   const match::MatchOptions& options = spec->match_options;
   const engine::BatchMatchOptions& engine_options = spec->engine_options;
+  const bool bound_driven = spec->bound_driven();
 
   eval::IndexedWorkloadOptions wopts;
   wopts.engine_options = engine_options;
@@ -440,14 +441,14 @@ int CmdWorkload(const CommandLine& cl) {
   std::cout << result->system_name << " over " << problems.size()
             << " queries (simd="
             << sim::SimdTierName(sim::ActiveSimdTier()) << "), ";
-  if (engine_options.adaptive.has_value()) {
+  // The run above refuses an engine configuration without a policy.
+  const index::AdaptiveCandidatePolicy& policy = *engine_options.adaptive;
+  if (bound_driven) {
     std::cout << "target bound = "
-              << FormatDouble(engine_options.adaptive->min_provable_completeness,
-                              2)
-              << " (C grows from " << engine_options.adaptive->initial_limit
-              << ")";
+              << FormatDouble(policy.min_provable_completeness, 2)
+              << " (C grows from " << policy.initial_limit << ")";
   } else {
-    std::cout << "C = " << engine_options.candidate_limit;
+    std::cout << "C = " << policy.initial_limit;
   }
   std::cout << "; ";
   if (served.source == "snapshot") {
@@ -464,7 +465,7 @@ int CmdWorkload(const CommandLine& cl) {
   }
   std::vector<std::string> headers = {"query", "answers", "sparse ms",
                                       "complete%"};
-  if (engine_options.adaptive.has_value()) {
+  if (bound_driven) {
     headers.insert(headers.end(), {"budget", "escalated", "rounds"});
   }
   if (wopts.compare_dense) {
@@ -480,7 +481,7 @@ int CmdWorkload(const CommandLine& cl) {
         report.name, std::to_string(report.sparse_answers),
         FormatDouble(report.sparse_seconds * 1e3, 2),
         FormatDouble(report.provably_complete_fraction * 100.0, 1)};
-    if (engine_options.adaptive.has_value()) {
+    if (bound_driven) {
       row.push_back(std::to_string(report.budget_spent));
       row.push_back(std::to_string(report.cells_escalated));
       row.push_back(std::to_string(report.adaptive_rounds));
@@ -516,7 +517,7 @@ int CmdWorkload(const CommandLine& cl) {
   }
   std::cout << "\nworkload totals: ";
   PrintMatchStats(result->stats);
-  if (engine_options.adaptive.has_value()) {
+  if (bound_driven) {
     std::cout << "; mean certified bound "
               << FormatDouble(result->mean_provable_completeness * 100.0, 1)
               << "%, total budget " << result->total_budget_spent
@@ -575,9 +576,9 @@ int CmdWorkload(const CommandLine& cl) {
     std::cout << "bound-vs-cost sweep (Δ ≤ " << options.delta_threshold
               << "):\n";
     sweep_table.Print(std::cout);
-    if (engine_options.adaptive.has_value()) {
-      const size_t smallest = curve->SmallestLimitAchieving(
-          engine_options.adaptive->min_provable_completeness);
+    if (bound_driven) {
+      const size_t smallest =
+          curve->SmallestLimitAchieving(policy.min_provable_completeness);
       std::cout << "smallest swept C meeting the target bound: "
                 << (smallest > 0 ? std::to_string(smallest)
                                  : std::string("none"))
@@ -817,11 +818,11 @@ int CmdServe(const CommandLine& cl) {
             << " simd=" << sim::SimdTierName(sim::ActiveSimdTier())
             << (spec->bound_driven()
                     ? " target_bound=" +
-                          FormatDouble(spec->engine_options.adaptive
-                                           ->min_provable_completeness,
+                          FormatDouble(spec->engine_options.policy()
+                                           .min_provable_completeness,
                                        2)
                     : " C=" + std::to_string(
-                                  spec->engine_options.candidate_limit))
+                                  spec->engine_options.adaptive->initial_limit))
             << " cache=" << spec->cache_capacity << " index="
             << (loaded ? "snapshot load_ms=" +
                              FormatDouble((*index)->load_seconds * 1e3, 2)
