@@ -201,8 +201,9 @@ void BM_NameDistancePairKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_NameDistancePairKernel);
 
-// One query against a block of targets — the dense-fill row pattern where
-// the query-side PEQ table loads once. Reported per pair.
+// One query against a block of targets through one BlockScorer — the
+// name-row pattern of candidate generation, where the query-side PEQ table
+// loads once. Reported per pair.
 void BM_NameSimilarityBlockKernel(benchmark::State& state) {
   const auto& prepared = PreparedNames();
   sim::NameSimilarityOptions options = SynonymOptions();
@@ -213,7 +214,7 @@ void BM_NameSimilarityBlockKernel(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& query = prepared[i % prepared.size()];
-    sim::ScoreBlock(query, targets, options, 0.0, scores.data());
+    sim::BlockScorer(query, options).ScoreMany(targets, 0.0, scores.data());
     benchmark::DoNotOptimize(scores.data());
     ++i;
   }
@@ -236,7 +237,8 @@ void BM_NameSimilarityBlockCutoff(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& query = prepared[i % prepared.size()];
-    sim::ScoreBlock(query, targets, options, min_score, scores.data());
+    sim::BlockScorer(query, options)
+        .ScoreMany(targets, min_score, scores.data());
     for (const sim::CutoffScore& s : scores) pruned += s.exact ? 0 : 1;
     benchmark::DoNotOptimize(scores.data());
     ++i;

@@ -53,7 +53,6 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
     const std::vector<MatchingProblem>& problems,
     const index::PreparedRepository& prepared,
     const match::MatchOptions& options,
-    const std::vector<double>& thresholds,
     const IndexedWorkloadOptions& workload_options) {
   if (problems.empty()) {
     return Status::InvalidArgument("workload has no matching problems");
@@ -147,25 +146,6 @@ Result<IndexedWorkloadResult> RunIndexedWorkload(
   }
   result.mean_provable_completeness =
       completeness_sum / static_cast<double>(result.reports.size());
-
-  // The pooled measured curve needs judged problems; workloads without
-  // ground truth still get latency and recall-vs-dense.
-  bool any_truth = false;
-  for (const MatchingProblem& problem : problems) {
-    if (!problem.truth.empty()) any_truth = true;
-  }
-  if (any_truth && !thresholds.empty()) {
-    std::vector<const match::AnswerSet*> answer_ptrs;
-    std::vector<const GroundTruth*> truth_ptrs;
-    for (size_t i = 0; i < problems.size(); ++i) {
-      answer_ptrs.push_back(&result.answers[i]);
-      truth_ptrs.push_back(&problems[i].truth);
-    }
-    SMB_ASSIGN_OR_RETURN(
-        result.pooled_curve,
-        PrCurve::MeasurePooled(answer_ptrs, truth_ptrs, thresholds));
-    result.has_curve = true;
-  }
   return result;
 }
 

@@ -125,10 +125,6 @@ struct IndexedWorkloadResult {
   double mean_provable_completeness = 1.0;
   /// Total candidates scored across all queries.
   uint64_t total_budget_spent = 0;
-  /// Micro-averaged measured sparse curve; only when some problem carries
-  /// ground truth (see `has_curve`).
-  PrCurve pooled_curve;
-  bool has_curve = false;
 };
 
 /// \brief Runs `matcher` over every problem through the batch engine's
@@ -136,15 +132,13 @@ struct IndexedWorkloadResult {
 /// (built or loaded by the caller, e.g. `serve::OpenServingIndex`) across
 /// every query. The repository is `prepared.repo()`.
 ///
-/// Problems may carry empty ground truth (recall-vs-dense is measured
-/// against the dense run, not against H); the pooled curve is computed only
-/// when truth is present.
+/// Problems may carry empty ground truth: recall-vs-dense is measured
+/// against the dense run, not against H.
 Result<IndexedWorkloadResult> RunIndexedWorkload(
     const match::Matcher& matcher,
     const std::vector<MatchingProblem>& problems,
     const index::PreparedRepository& prepared,
     const match::MatchOptions& options,
-    const std::vector<double>& thresholds,
     const IndexedWorkloadOptions& workload_options);
 
 }  // namespace smb::eval

@@ -1,16 +1,16 @@
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
+#include "common/lru_cache.h"
 #include "index/prepared_repository.h"
 
 /// \file name_row_cache.h
@@ -36,7 +36,8 @@
 /// returns for that name. Rows are handed out shared, so a reader keeps
 /// its row valid even when it is evicted meanwhile.
 ///
-/// **Bound.** A byte-bounded LRU: every resident row is charged
+/// **Bound.** A byte-bounded LRU (one stripe of common/lru_cache.h, so the
+/// order is exact over the whole budget): every resident row is charged
 /// `EntryBytes`, and an insert evicts least-recently-used rows until the
 /// resident total is within the budget again. Rows still held by readers
 /// after their eviction are not charged. The budget is fixed at
@@ -48,7 +49,7 @@
 ///
 /// Thread-safe: any number of threads may look up and insert concurrently.
 /// Two requests that miss on one name both compute its row; the second
-/// insert keeps the first row (both are the same values).
+/// insert replaces the first, which holds the same values.
 namespace smb::index {
 
 /// One shared, immutable name row: similarity by name id.
@@ -79,28 +80,41 @@ class NameRowCache {
   /// `prepared` must outlive the cache; its rows have
   /// `prepared->name_count()` entries.
   explicit NameRowCache(const PreparedRepository* prepared,
-                        size_t budget_bytes = kDefaultBudgetBytes);
+                        size_t budget_bytes = kDefaultBudgetBytes)
+      : prepared_(prepared), rows_(budget_bytes, /*stripes=*/1) {
+    assert(prepared_ != nullptr);
+  }
 
   NameRowCache(const NameRowCache&) = delete;
   NameRowCache& operator=(const NameRowCache&) = delete;
 
   /// The index whose name ids the rows are indexed by.
   const PreparedRepository* prepared() const { return prepared_; }
-  size_t budget_bytes() const { return budget_bytes_; }
+  size_t budget_bytes() const { return rows_.capacity(); }
 
   /// \brief The row for (`folded`, `options_fingerprint`), or nullptr on a
   /// miss. A hit refreshes the row's recency.
-  NameRow Lookup(std::string_view folded, uint64_t options_fingerprint)
-      SMB_EXCLUDES(mutex_);
+  NameRow Lookup(std::string_view folded, uint64_t options_fingerprint) {
+    return rows_.Lookup(Key{options_fingerprint, std::string(folded)});
+  }
 
   /// \brief Stores a complete row (`prepared()->name_count()` entries)
-  /// unless one is already resident under the key, then evicts
+  /// under the key, replacing a resident one, then evicts
   /// least-recently-used rows until the resident bytes fit the budget. A
   /// row larger than the whole budget is not stored.
   void Insert(std::string_view folded, uint64_t options_fingerprint,
-              NameRow row) SMB_EXCLUDES(mutex_);
+              NameRow row) {
+    assert(row != nullptr && row->size() == prepared_->name_count());
+    const size_t bytes = EntryBytes(folded.size(), row->size());
+    rows_.Insert(Key{options_fingerprint, std::string(folded)},
+                 std::move(row), bytes);
+  }
 
-  NameRowCacheStats stats() const SMB_EXCLUDES(mutex_);
+  NameRowCacheStats stats() const {
+    const LruCacheStats rows = rows_.stats();
+    return {rows.hits, rows.misses, rows.evictions, rows.charge,
+            rows.entries};
+  }
 
   /// Bytes charged for one resident row.
   static size_t EntryBytes(size_t folded_size, size_t row_size) {
@@ -124,20 +138,9 @@ class NameRowCache {
                                  0x9e3779b97f4a7c15ull);
     }
   };
-  struct Entry {
-    Key key;
-    NameRow row;
-    size_t bytes = 0;
-  };
 
   const PreparedRepository* prepared_;
-  const size_t budget_bytes_;
-  mutable Mutex mutex_;
-  /// Most-recently-used at the front.
-  std::list<Entry> lru_ SMB_GUARDED_BY(mutex_);
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_
-      SMB_GUARDED_BY(mutex_);
-  NameRowCacheStats stats_ SMB_GUARDED_BY(mutex_);
+  LruCache<Key, std::vector<double>, KeyHash> rows_;
 };
 
 }  // namespace smb::index

@@ -33,23 +33,6 @@ double ComputeNodeCost(const schema::SchemaNode& q, const sim::PreparedName& qp,
                           options);
 }
 
-NodeCostCutoff ComputeNodeCostWithCutoff(const schema::SchemaNode& q,
-                                         const sim::PreparedName& qp,
-                                         const schema::SchemaNode& t,
-                                         const sim::PreparedName& tp,
-                                         const ObjectiveOptions& options,
-                                         double max_cost) {
-  sim::BlockScorer scorer(qp, options.name);
-  return ComputeNodeCostWithCutoff(scorer, q, t, tp, options, max_cost);
-}
-
-double ComputeNodeCost(sim::BlockScorer& scorer, const schema::SchemaNode& q,
-                       const schema::SchemaNode& t,
-                       const sim::PreparedName& tp,
-                       const ObjectiveOptions& options) {
-  return ApplyTypePenalty(1.0 - scorer.Score(tp), q, t, options);
-}
-
 NodeCostCutoff ComputeNodeCostWithCutoff(sim::BlockScorer& scorer,
                                          const schema::SchemaNode& q,
                                          const schema::SchemaNode& t,

@@ -68,9 +68,10 @@ struct ObjectiveOptions {
 double ComputeNodeCost(const schema::SchemaNode& q, const schema::SchemaNode& t,
                        const ObjectiveOptions& options);
 
-/// \brief Same cost over pre-folded/pre-tokenized names — the candidate
-/// generator's fast path. `qp`/`tp` must be `sim::PrepareName` of
-/// `q.name`/`t.name` under `options.name`.
+/// \brief Same cost over pre-folded/pre-tokenized names — the per-pair
+/// reference the candidate generator's kept costs are tested against
+/// (tests/index/name_dictionary_test.cc). `qp`/`tp` must be
+/// `sim::PrepareName` of `q.name`/`t.name` under `options.name`.
 double ComputeNodeCost(const schema::SchemaNode& q, const sim::PreparedName& qp,
                        const schema::SchemaNode& t, const sim::PreparedName& tp,
                        const ObjectiveOptions& options);
@@ -91,32 +92,21 @@ struct NodeCostCutoff {
   bool exact = true;
 };
 
-/// \brief Node cost with an early-exit budget: when the exact cost could be
-/// ≤ `max_cost`, computes it in full precision (`exact == true`,
-/// bit-identical to `ComputeNodeCost`); when the threshold-aware kernel
-/// proves the cost must exceed `max_cost`, returns `exact == false` with an
-/// admissible *lower bound* on the exact cost that is itself > `max_cost`.
-/// Top-C candidate selections feed their current C-th cost in as
-/// `max_cost`: pruning then never changes the selected set, and the lower
-/// bound keeps the skip-bound's truncation tier admissible.
-NodeCostCutoff ComputeNodeCostWithCutoff(const schema::SchemaNode& q,
-                                         const sim::PreparedName& qp,
-                                         const schema::SchemaNode& t,
-                                         const sim::PreparedName& tp,
-                                         const ObjectiveOptions& options,
-                                         double max_cost);
-
-/// \brief Block variants: the same costs through a caller-held
+/// \brief Node cost with an early-exit budget, through a caller-held
 /// `sim::BlockScorer` (constructed over the query's prepared name with
 /// `options.name`), so query-side setup — weight clamping, the PEQ bitmask
 /// scatter — is paid once per query position instead of once per pair.
 /// While the scorer is live, all costs for that position must go through
 /// it (the kernel's thread-local scratch hosts one scorer at a time).
-double ComputeNodeCost(sim::BlockScorer& scorer, const schema::SchemaNode& q,
-                       const schema::SchemaNode& t,
-                       const sim::PreparedName& tp,
-                       const ObjectiveOptions& options);
-
+///
+/// When the exact cost could be ≤ `max_cost`, computes it in full
+/// precision (`exact == true`, bit-identical to `ComputeNodeCost`); when
+/// the threshold-aware kernel proves the cost must exceed `max_cost`,
+/// returns `exact == false` with an admissible *lower bound* on the exact
+/// cost that is itself > `max_cost`. Top-C candidate selections feed their
+/// current C-th cost in as `max_cost`: pruning then never changes the
+/// selected set, and the lower bound keeps the skip-bound's truncation tier
+/// admissible.
 NodeCostCutoff ComputeNodeCostWithCutoff(sim::BlockScorer& scorer,
                                          const schema::SchemaNode& q,
                                          const schema::SchemaNode& t,

@@ -5,6 +5,7 @@
 
 #include "common/strings.h"
 #include "common/table.h"
+#include "serve/match_service.h"
 #include "serve/serving_index.h"
 
 /// \file protocol.cc
@@ -223,6 +224,17 @@ std::string FormatRowCacheFields(const ServingIndex& index) {
       << " row_cache_misses=" << stats.misses
       << " row_cache_evictions=" << stats.evictions
       << " row_cache_bytes=" << stats.bytes;
+  return out.str();
+}
+
+std::string FormatCacheFields(const MatchService& service) {
+  const engine::QueryResultCache& cache = *service.cache();
+  const engine::QueryCacheStats stats = cache.stats();
+  std::ostringstream out;
+  out << " cache_hits=" << stats.hits << " cache_misses=" << stats.misses
+      << " cache_evictions=" << stats.evictions
+      << " cache_entries=" << stats.entries << "/" << cache.capacity()
+      << FormatRowCacheFields(*service.index());
   return out.str();
 }
 

@@ -122,6 +122,7 @@ std::string FormatErrorResponse(const std::string& query_path,
                                 const Status& status);
 
 struct ServingIndex;
+class MatchService;
 
 /// \brief Formats the `reloaded` response for a freshly swapped-in
 /// generation (no newline); offline and network mode share it.
@@ -133,6 +134,13 @@ std::string FormatReloadResponse(const ServingIndex& index);
 /// a leading space. The counters start at 0 with each generation. Offline
 /// and network mode share it.
 std::string FormatRowCacheFields(const ServingIndex& index);
+
+/// \brief The cache fields of a `stats` line: `cache_hits=`,
+/// `cache_misses=`, `cache_evictions=` and `cache_entries=N/CAPACITY` of
+/// the service's result cache, then `FormatRowCacheFields` of its current
+/// generation, each with a leading space. Offline and network mode share
+/// it.
+std::string FormatCacheFields(const MatchService& service);
 
 /// \brief Splits the `key=value` fields of a response line (everything
 /// after the leading `<verb> [<path>]` tokens) into a map — the generic

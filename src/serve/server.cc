@@ -237,7 +237,6 @@ void MatchServer::WorkerLoop() {
 
 std::string MatchServer::FormatStatsLine() const {
   const ServerStatsSnapshot snapshot = stats_.Snapshot();
-  const engine::QueryCacheStats cache_stats = service_->cache()->stats();
   const std::shared_ptr<const ServingIndex> index = service_->index();
   std::ostringstream out;
   out << "stats generation=" << index->generation
@@ -249,11 +248,7 @@ std::string MatchServer::FormatStatsLine() const {
       << " p50_ms=" << FormatDouble(snapshot.p50_latency_ms, 3)
       << " p95_ms=" << FormatDouble(snapshot.p95_latency_ms, 3)
       << " p99_ms=" << FormatDouble(snapshot.p99_latency_ms, 3)
-      << " cache_hits=" << cache_stats.hits
-      << " cache_misses=" << cache_stats.misses
-      << " cache_evictions=" << cache_stats.evictions
-      << " cache_entries=" << service_->cache()->size() << "/"
-      << service_->cache()->capacity() << FormatRowCacheFields(*index)
+      << FormatCacheFields(*service_)
       << " simd=" << sim::SimdTierName(sim::ActiveSimdTier());
   for (const auto& [request_class, count] : snapshot.shed_by_class) {
     out << " shed_class_" << request_class << "=" << count;

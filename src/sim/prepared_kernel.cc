@@ -940,12 +940,4 @@ CutoffScore ScoreWithCutoff(const PreparedName& a, const PreparedName& b,
   return scorer.ScoreWithCutoff(b, min_score);
 }
 
-void ScoreBlock(const PreparedName& query,
-                std::span<const PreparedName* const> targets,
-                const NameSimilarityOptions& options, double min_score,
-                CutoffScore* out) {
-  BlockScorer scorer(query, options);
-  scorer.ScoreMany(targets, min_score, out);
-}
-
 }  // namespace smb::sim

@@ -232,16 +232,6 @@ CutoffScore ScoreWithCutoff(const PreparedName& a, const PreparedName& b,
                             const NameSimilarityOptions& options,
                             double min_score);
 
-/// \brief Batched scoring of `query` against `targets` (the dense-fill
-/// entry point): loads query-side state once and runs the SoA/SIMD pipeline
-/// (`BlockScorer::ScoreMany`), writing one `CutoffScore` per target into
-/// `out` (which must have `targets.size()` capacity). With `min_score <= 0`
-/// every result is exact.
-void ScoreBlock(const PreparedName& query,
-                std::span<const PreparedName* const> targets,
-                const NameSimilarityOptions& options, double min_score,
-                CutoffScore* out);
-
 /// \brief Test hook: number of times this thread's kernel scratch buffers
 /// grew (each growth is one heap allocation). Steady-state scoring must not
 /// move this counter — that is the "zero allocations per pair" guarantee.

@@ -66,7 +66,7 @@ TEST(IndexedWorkloadTest, FullLimitReproducesDenseAnswersWithRecallOne) {
       testing::FixedPolicy(setup.max_schema_size + 2);
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                   setup.options, {0.1, 0.2, 0.25}, wopts);
+                                   setup.options, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
 
   EXPECT_EQ(result->answers.size(), setup.problems.size());
@@ -91,9 +91,6 @@ TEST(IndexedWorkloadTest, FullLimitReproducesDenseAnswersWithRecallOne) {
   }
   EXPECT_GT(result->stats.candidates_generated, 0u);
   EXPECT_EQ(result->stats.candidates_skipped, 0u);
-  // One problem carries truth, so the pooled sparse curve is measurable.
-  EXPECT_TRUE(result->has_curve);
-  EXPECT_EQ(result->pooled_curve.size(), 3u);
 }
 
 TEST(IndexedWorkloadTest, SmallLimitReportsRecallBelowOneAndSkips) {
@@ -107,10 +104,9 @@ TEST(IndexedWorkloadTest, SmallLimitReportsRecallBelowOneAndSkips) {
   wopts.engine_options.num_threads = 2;
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                   setup.options, {}, wopts);
+                                   setup.options, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
 
-  EXPECT_FALSE(result->has_curve);
   EXPECT_GT(result->stats.candidates_skipped, 0u);
   EXPECT_LE(result->mean_answer_recall, 1.0);
   for (size_t i = 0; i < result->answers.size(); ++i) {
@@ -130,7 +126,7 @@ TEST(IndexedWorkloadTest, WithoutCompareDenseSkipsDenseRuns) {
   wopts.engine_options.adaptive = testing::FixedPolicy(4);
   wopts.compare_dense = false;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                   setup.options, {}, wopts);
+                                   setup.options, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->dense_answers.empty());
   EXPECT_EQ(result->mean_answer_recall, 1.0);
@@ -146,20 +142,20 @@ TEST(IndexedWorkloadTest, RejectsEmptyWorkloadAndZeroLimit) {
   ASSERT_TRUE(matcher.ok()) << matcher.status();
   const index::PreparedRepository prepared = Prepare(setup);
   EXPECT_FALSE(
-      RunIndexedWorkload(**matcher, {}, prepared, setup.options, {}, {})
+      RunIndexedWorkload(**matcher, {}, prepared, setup.options, {})
           .ok());
   // No candidate policy, and a fixed C of 0, are both refused.
   IndexedWorkloadOptions wopts;
   EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                  setup.options, {}, wopts)
+                                  setup.options, wopts)
                    .ok());
   wopts.engine_options.adaptive = testing::FixedPolicy(0);
   EXPECT_FALSE(RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                  setup.options, {}, wopts)
+                                  setup.options, wopts)
                    .ok());
   wopts.engine_options.adaptive = index::AdaptiveCandidatePolicy{};
   EXPECT_TRUE(RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                 setup.options, {}, wopts)
+                                 setup.options, wopts)
                   .ok());
 }
 
@@ -176,7 +172,7 @@ TEST(IndexedWorkloadTest, AdaptiveModeReportsBudgetAndCertifiedBound) {
   wopts.engine_options.adaptive = policy;
   wopts.compare_dense = true;
   auto result = RunIndexedWorkload(**matcher, setup.problems, prepared,
-                                   setup.options, {}, wopts);
+                                   setup.options, wopts);
   ASSERT_TRUE(result.ok()) << result.status();
 
   uint64_t budget_sum = 0;

@@ -297,9 +297,10 @@ TEST(NameRowCacheTest, TinyBudgetEvictsLeastRecentlyUsedAndHeldRowsStay) {
   EXPECT_EQ(cache.Lookup("bravo", 1), nullptr);
   ASSERT_NE(cache.Lookup("alpha", 1), nullptr);
   EXPECT_EQ(cache.Lookup("alpha", 1), held);
-  // A second insert under a resident key keeps the first row.
-  cache.Insert("alpha", 1, row_of(0.9));
-  EXPECT_EQ(cache.Lookup("alpha", 1), held);
+  // A second insert under a resident key replaces its row.
+  const NameRow replacement = row_of(0.9);
+  cache.Insert("alpha", 1, replacement);
+  EXPECT_EQ(cache.Lookup("alpha", 1), replacement);
   EXPECT_EQ(cache.stats().bytes, 2 * entry);
 
   cache.Insert("echo1", 1, row_of(0.1));  // evicts delta

@@ -277,7 +277,7 @@ TEST(PreparedKernelTest, CutoffNeverPrunesReachableScores) {
   EXPECT_GT(pruned, 1000u);
 }
 
-TEST(PreparedKernelTest, ScoreBlockMatchesPairwiseScoring) {
+TEST(PreparedKernelTest, ScoreManyMatchesPairwiseScoring) {
   Rng rng(31);
   const NameSimilarityOptions options = SynonymOptions();
   std::vector<PreparedName> names;
@@ -289,13 +289,13 @@ TEST(PreparedKernelTest, ScoreBlockMatchesPairwiseScoring) {
   std::vector<CutoffScore> block(targets.size());
 
   for (size_t qi = 0; qi < names.size(); qi += 7) {
-    ScoreBlock(names[qi], targets, options, 0.0, block.data());
+    BlockScorer(names[qi], options).ScoreMany(targets, 0.0, block.data());
     for (size_t t = 0; t < targets.size(); ++t) {
       EXPECT_TRUE(block[t].exact);
       EXPECT_EQ(block[t].score, NameSimilarity(names[qi], names[t], options));
     }
     // Threshold-aware block run agrees wherever it stays exact.
-    ScoreBlock(names[qi], targets, options, 0.8, block.data());
+    BlockScorer(names[qi], options).ScoreMany(targets, 0.8, block.data());
     for (size_t t = 0; t < targets.size(); ++t) {
       const double exact = NameSimilarity(names[qi], names[t], options);
       if (block[t].exact) {
@@ -325,8 +325,8 @@ TEST(PreparedKernelTest, SteadyStateScoringDoesNotAllocate) {
   // Warm-up: lets every thread-local scratch buffer reach its high-water
   // mark for this workload.
   for (size_t qi = 0; qi < names.size(); ++qi) {
-    ScoreBlock(names[qi], targets, options, 0.0, scores.data());
-    ScoreBlock(names[qi], targets, options, 0.6, scores.data());
+    BlockScorer(names[qi], options).ScoreMany(targets, 0.0, scores.data());
+    BlockScorer(names[qi], options).ScoreMany(targets, 0.6, scores.data());
   }
 
   const uint64_t growths_before = KernelScratchGrowthCount();
@@ -336,9 +336,9 @@ TEST(PreparedKernelTest, SteadyStateScoringDoesNotAllocate) {
 #endif
   double checksum = 0.0;
   for (size_t qi = 0; qi < names.size(); ++qi) {
-    ScoreBlock(names[qi], targets, options, 0.0, scores.data());
+    BlockScorer(names[qi], options).ScoreMany(targets, 0.0, scores.data());
     checksum += scores[qi].score;
-    ScoreBlock(names[qi], targets, options, 0.6, scores.data());
+    BlockScorer(names[qi], options).ScoreMany(targets, 0.6, scores.data());
     checksum += scores[qi].score;
   }
 #if SMB_ALLOC_HOOK

@@ -293,11 +293,12 @@ TEST(SimdDispatchTest, ScoringBitIdenticalAcrossTiers) {
   for (size_t qi = 0; qi < names.size(); qi += 3) {
     for (double min_score : cutoffs) {
       internal::OverrideSimdTierForTest(SimdTier::kScalar);
-      ScoreBlock(names[qi], targets, options, min_score,
-                 scalar_block.data());
+      BlockScorer(names[qi], options)
+          .ScoreMany(targets, min_score, scalar_block.data());
       for (SimdTier tier : tiers) {
         internal::OverrideSimdTierForTest(tier);
-        ScoreBlock(names[qi], targets, options, min_score, block.data());
+        BlockScorer(names[qi], options)
+            .ScoreMany(targets, min_score, block.data());
         for (size_t t = 0; t < targets.size(); ++t) {
           // The block pipeline must agree with the per-pair path and with
           // the scalar tier in every bit, including the exactness flag.

@@ -40,7 +40,6 @@
 #include "common/table.h"
 #include "common/timing.h"
 #include "engine/batch_match_engine.h"
-#include "engine/query_cache.h"
 #include "eval/experiment_batch.h"
 #include "eval/load_harness.h"
 #include "eval/pr_curve.h"
@@ -434,8 +433,7 @@ int CmdWorkload(const CommandLine& cl) {
   wopts.engine_options = engine_options;
   wopts.compare_dense = cl.Has("compare-dense");
   auto result = eval::RunIndexedWorkload(*served.matcher, problems,
-                                         *served.prepared, options,
-                                         /*thresholds=*/{}, wopts);
+                                         *served.prepared, options, wopts);
   if (!result.ok()) return Fail(result.status());
 
   std::cout << result->system_name << " over " << problems.size()
@@ -654,15 +652,9 @@ int RunOfflineServe(serve::MatchService& service, std::istream& in) {
     }
     if (request->kind == serve::RequestKind::kQuit) break;
     if (request->kind == serve::RequestKind::kStats) {
-      const engine::QueryResultCache& cache = *service.cache();
-      const engine::QueryCacheStats cs = cache.stats();
       const auto index = service.index();
       std::cout << "stats generation=" << index->generation
-                << " served=" << served << " cache_hits=" << cs.hits
-                << " cache_misses=" << cs.misses
-                << " cache_evictions=" << cs.evictions
-                << " cache_entries=" << cache.size() << "/"
-                << cache.capacity() << serve::FormatRowCacheFields(*index)
+                << " served=" << served << serve::FormatCacheFields(service)
                 << " index_source=" << index->source
                 << " simd=" << sim::SimdTierName(sim::ActiveSimdTier())
                 << std::endl;
