@@ -47,9 +47,10 @@ Status BeamMatcher::MatchSchemas(const ObjectiveFunction& objective,
       }
       std::vector<BeamState> next;
       for (const BeamState& state : beam) {
-        schema::NodeId parent_target = schema::kInvalidNode;
+        const schema::RelationCode* parent_codes = nullptr;
         if (parent_pos != ObjectiveFunction::kNoParent) {
-          parent_target = state.targets[parent_pos];
+          parent_codes =
+              objective.EdgeCodes(schema_index, state.targets[parent_pos]);
         }
         auto expand = [&](schema::NodeId target, double assign_cost) {
           if (stats != nullptr) ++stats->states_explored;
@@ -73,15 +74,16 @@ Status BeamMatcher::MatchSchemas(const ObjectiveFunction& objective,
               continue;
             }
             expand(entry.node, objective.AssignCostWithNodeCost(
-                                   schema_index, entry.node, parent_target,
-                                   entry.cost));
+                                   parent_codes, entry.node, entry.cost));
           }
         } else {
           for (size_t t = 0; t < s.size(); ++t) {
             auto target = static_cast<schema::NodeId>(t);
             if (options.injective && state.used[t]) continue;
-            expand(target, objective.AssignCost(pos, schema_index, target,
-                                                parent_target));
+            expand(target,
+                   objective.AssignCostWithNodeCost(
+                       parent_codes, target,
+                       objective.NodeCost(pos, schema_index, target)));
           }
         }
       }

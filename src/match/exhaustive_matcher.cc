@@ -109,10 +109,10 @@ class SchemaEnumerator {
       if (stats_ != nullptr) ++stats_->mappings_emitted;
       return;
     }
-    schema::NodeId parent_target = schema::kInvalidNode;
+    const schema::RelationCode* parent_codes = nullptr;
     size_t parent_pos = objective_.parent_position()[pos];
     if (parent_pos != ObjectiveFunction::kNoParent) {
-      parent_target = targets_[parent_pos];
+      parent_codes = objective_.EdgeCodes(schema_index_, targets_[parent_pos]);
     }
     if (const std::vector<CandidateEntry>* list = ListFor(pos)) {
       for (const CandidateEntry& entry : *list) {
@@ -127,8 +127,8 @@ class SchemaEnumerator {
           continue;
         }
         Visit(pos, cost_so_far, entry.node,
-              objective_.AssignCostWithNodeCost(schema_index_, entry.node,
-                                                parent_target, entry.cost));
+              objective_.AssignCostWithNodeCost(parent_codes, entry.node,
+                                                entry.cost));
       }
       return;
     }
@@ -136,7 +136,9 @@ class SchemaEnumerator {
       const auto target = static_cast<schema::NodeId>(i);
       if (options_.injective && used_[i]) continue;
       Visit(pos, cost_so_far, target,
-            objective_.AssignCost(pos, schema_index_, target, parent_target));
+            objective_.AssignCostWithNodeCost(
+                parent_codes, target,
+                objective_.NodeCost(pos, schema_index_, target)));
     }
   }
 

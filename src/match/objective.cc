@@ -57,6 +57,32 @@ NodeCostCutoff ComputeNodeCostWithCutoff(sim::BlockScorer& scorer,
   return {std::max(0.0, lower - 1e-9), false};
 }
 
+namespace {
+
+/// The edge cost of a query edge whose parent's and child's targets relate
+/// as `code` says: the penalties of `ObjectiveOptions`, each capped at 1.
+double RelationCost(schema::RelationCode code, const ObjectiveOptions& o) {
+  const int distance = schema::RelationDistance(code);
+  switch (schema::RelationKindOf(code)) {
+    case schema::RelationKind::kSame:
+      return o.collapsed_penalty;
+    case schema::RelationKind::kAncestor:
+      if (distance == 1) return 0.0;  // edge preserved
+      return std::min(1.0, o.ancestor_penalty_base +
+                               o.ancestor_penalty_step *
+                                   static_cast<double>(distance - 1));
+    case schema::RelationKind::kInverted:
+      return o.inverted_penalty;
+    case schema::RelationKind::kUnrelated:
+      break;
+  }
+  return std::min(1.0, o.unrelated_penalty_base +
+                           o.unrelated_penalty_step *
+                               static_cast<double>(std::max(0, distance - 2)));
+}
+
+}  // namespace
+
 ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
                                      const schema::SchemaRepository* repo,
                                      ObjectiveOptions options,
@@ -85,6 +111,11 @@ ObjectiveFunction::ObjectiveFunction(const schema::Schema* query,
     normalizer_ += options_.weight_structure * (m - 1.0);
   }
   if (normalizer_ <= 0.0) normalizer_ = 1.0;
+  edge_cost_.resize(size_t{repo_->max_relation_code()} + 1);
+  for (size_t code = 0; code < edge_cost_.size(); ++code) {
+    edge_cost_[code] =
+        RelationCost(static_cast<schema::RelationCode>(code), options_);
+  }
   cache_.resize(repo_->schema_count());
 }
 
@@ -103,49 +134,11 @@ double ObjectiveFunction::NodeCost(size_t pos, int32_t schema_index,
   return slot;
 }
 
-double ObjectiveFunction::EdgeCost(int32_t schema_index,
-                                   schema::NodeId parent_target,
-                                   schema::NodeId child_target) const {
-  const schema::Schema& s = repo_->schema(schema_index);
-  if (parent_target == child_target) return options_.collapsed_penalty;
-  const schema::SchemaNode& child = s.node(child_target);
-  if (child.parent == parent_target) return 0.0;  // edge preserved
-  if (s.IsAncestor(parent_target, child_target)) {
-    int gap = child.depth - s.node(parent_target).depth;
-    return std::min(1.0, options_.ancestor_penalty_base +
-                             options_.ancestor_penalty_step *
-                                 static_cast<double>(gap - 1));
-  }
-  if (s.IsAncestor(child_target, parent_target)) {
-    return options_.inverted_penalty;
-  }
-  int dist = s.TreeDistance(parent_target, child_target);
-  return std::min(1.0, options_.unrelated_penalty_base +
-                           options_.unrelated_penalty_step *
-                               static_cast<double>(std::max(0, dist - 2)));
-}
-
 double ObjectiveFunction::AssignCost(size_t pos, int32_t schema_index,
                                      schema::NodeId target,
                                      schema::NodeId parent_target) const {
-  double cost = options_.weight_name * NodeCost(pos, schema_index, target);
-  if (parent_target != schema::kInvalidNode) {
-    cost += options_.weight_structure *
-            EdgeCost(schema_index, parent_target, target);
-  }
-  return cost;
-}
-
-double ObjectiveFunction::AssignCostWithNodeCost(int32_t schema_index,
-                                                 schema::NodeId target,
-                                                 schema::NodeId parent_target,
-                                                 double node_cost) const {
-  double cost = options_.weight_name * node_cost;
-  if (parent_target != schema::kInvalidNode) {
-    cost += options_.weight_structure *
-            EdgeCost(schema_index, parent_target, target);
-  }
-  return cost;
+  return AssignCostWithNodeCost(EdgeCodes(schema_index, parent_target), target,
+                                NodeCost(pos, schema_index, target));
 }
 
 double ObjectiveFunction::Delta(

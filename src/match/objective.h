@@ -23,6 +23,14 @@
 ///                  little, inverted or unrelated placements a lot.
 ///
 /// `Delta = (w_n·Σ node + w_s·Σ edge) / (w_n·m + w_s·(m−1))`.
+///
+/// Edge costs are table lookups. The repository holds each schema's
+/// query-independent relation codes (schema/repository.h: kind plus exact
+/// gap or distance per node pair, built once in `SchemaRepository::Add`);
+/// the objective maps every code to its cost once, in its constructor. An
+/// enumerator fetches the code row of a parent's target once (`EdgeCodes`),
+/// and each child state's edge cost is then one read of the code and one of
+/// its cost.
 
 namespace smb::sim {
 class BlockScorer;  // prepared_kernel.h
@@ -191,7 +199,22 @@ class ObjectiveFunction {
   /// \brief Structural cost of a query edge whose endpoints map to
   /// `parent_target` and `child_target` in the same schema. In [0, 1].
   double EdgeCost(int32_t schema_index, schema::NodeId parent_target,
-                  schema::NodeId child_target) const;
+                  schema::NodeId child_target) const {
+    return edge_cost_[EdgeCodes(schema_index, parent_target)
+                          [static_cast<size_t>(child_target)]];
+  }
+
+  /// \brief The relation codes from `parent_target` to every node of
+  /// schema `schema_index`, indexed by the child's target; nullptr for
+  /// `kInvalidNode` (the root position has no edge). Enumerators fetch it
+  /// once per parent target and hand it to `AssignCostWithNodeCost`.
+  const schema::RelationCode* EdgeCodes(int32_t schema_index,
+                                        schema::NodeId parent_target) const {
+    if (parent_target == schema::kInvalidNode) return nullptr;
+    return repo_->relation_codes(schema_index) +
+           static_cast<size_t>(parent_target) *
+               repo_->schema(schema_index).size();
+  }
 
   /// \brief Un-normalized cost contribution of assigning `pos` -> `target`,
   /// given the target of `pos`'s parent (`kInvalidNode` for the root).
@@ -203,10 +226,18 @@ class ObjectiveFunction {
 
   /// \brief Same contribution when the name+type node cost is already known
   /// (the candidate path: `CandidateEntry::cost` is exact, so going through
-  /// the lazy cache again would be wasted work).
-  double AssignCostWithNodeCost(int32_t schema_index, schema::NodeId target,
-                                schema::NodeId parent_target,
-                                double node_cost) const;
+  /// the lazy cache again would be wasted work) and the parent target's code
+  /// row is in hand (`EdgeCodes`; nullptr for the root position).
+  double AssignCostWithNodeCost(const schema::RelationCode* parent_codes,
+                                schema::NodeId target,
+                                double node_cost) const {
+    double cost = options_.weight_name * node_cost;
+    if (parent_codes != nullptr) {
+      cost += options_.weight_structure *
+              edge_cost_[parent_codes[static_cast<size_t>(target)]];
+    }
+    return cost;
+  }
 
   /// Candidate lists attached to this objective (nullptr = every node,
   /// costs from the lazy cache).
@@ -231,6 +262,9 @@ class ObjectiveFunction {
   std::vector<schema::NodeId> preorder_;
   std::vector<size_t> parent_position_;
   double normalizer_ = 1.0;
+  /// edge_cost_[code] = the edge cost of relation code `code`, for every
+  /// code up to the repository's largest.
+  std::vector<double> edge_cost_;
   /// Lazy node costs:
   /// cache_[schema_index][pos * schema_size + node] = node cost; empty until
   /// the schema is first touched.

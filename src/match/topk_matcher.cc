@@ -62,10 +62,11 @@ Status TopKMatcher::MatchSchemas(const ObjectiveFunction& objective,
         ++emitted;
         continue;
       }
-      schema::NodeId parent_target = schema::kInvalidNode;
+      const schema::RelationCode* parent_codes = nullptr;
       size_t parent_pos = objective.parent_position()[pos];
       if (parent_pos != ObjectiveFunction::kNoParent) {
-        parent_target = state.targets[parent_pos];
+        parent_codes =
+            objective.EdgeCodes(schema_index, state.targets[parent_pos]);
       }
       auto is_used = [&](schema::NodeId target) {
         if (!options.injective) return false;
@@ -96,16 +97,17 @@ Status TopKMatcher::MatchSchemas(const ObjectiveFunction& objective,
       if (list != nullptr) {
         for (const CandidateEntry& entry : *list) {
           if (is_used(entry.node)) continue;
-          expand(entry.node,
-                 objective.AssignCostWithNodeCost(schema_index, entry.node,
-                                                  parent_target, entry.cost));
+          expand(entry.node, objective.AssignCostWithNodeCost(
+                                 parent_codes, entry.node, entry.cost));
         }
       } else {
         for (size_t t = 0; t < s.size(); ++t) {
           auto target = static_cast<schema::NodeId>(t);
           if (is_used(target)) continue;
-          expand(target, objective.AssignCost(pos, schema_index, target,
-                                              parent_target));
+          expand(target,
+                 objective.AssignCostWithNodeCost(
+                     parent_codes, target,
+                     objective.NodeCost(pos, schema_index, target)));
         }
       }
       // Safety valve: bound frontier memory by rebuilding without the

@@ -33,12 +33,47 @@ struct ElementRef {
   }
 };
 
+/// \brief How one node of a schema relates to another, with the exact gap
+/// or distance: what the objective's edge cost reads (match/objective.h).
+///
+/// `code = distance << 2 | kind`, where `distance` is the number of tree
+/// edges between the two nodes: 0 for the same node, the depth gap when one
+/// is an ancestor of the other (1 for a parent-child pair).
+using RelationCode = uint16_t;
+
+/// The relation of a first node `p` to a second node `c`. Bit 1 is set
+/// exactly when `c` is outside `p`'s subtree; the code fill relies on it.
+enum class RelationKind : uint8_t {
+  kSame = 0,       ///< `p == c`.
+  kAncestor = 1,   ///< `p` is a proper ancestor of `c`.
+  kInverted = 2,   ///< `c` is a proper ancestor of `p`.
+  kUnrelated = 3,  ///< Neither; the distance runs through their LCA.
+};
+
+/// The largest distance a code holds exactly. Codes never saturate: `Add`
+/// rejects a schema deep enough to exceed it.
+inline constexpr int kMaxRelationDistance = 0xFFFF >> 2;
+
+inline RelationCode MakeRelationCode(RelationKind kind, int distance) {
+  return static_cast<RelationCode>((distance << 2) |
+                                   static_cast<int>(kind));
+}
+inline RelationKind RelationKindOf(RelationCode code) {
+  return static_cast<RelationKind>(code & 3);
+}
+inline int RelationDistance(RelationCode code) { return code >> 2; }
+
 /// \brief An immutable-after-build set of schemas.
+///
+/// Each schema gets an n × n table of relation codes when it is added, all
+/// kept in one vector: the per-state edge costs of the matchers are lookups
+/// into it, never tree walks.
 class SchemaRepository {
  public:
   SchemaRepository() = default;
 
-  /// \brief Adds a schema (validated first). Returns its index.
+  /// \brief Adds a schema (validated first) and builds its relation codes.
+  /// Returns its index. A rejected schema changes nothing.
   Result<int32_t> Add(Schema schema);
 
   /// Number of schemas.
@@ -77,9 +112,23 @@ class SchemaRepository {
   /// Finds a schema by document name; -1 when absent.
   int32_t FindByName(const std::string& name) const;
 
+  /// \brief The n × n relation codes of schema `index` (n its size), row
+  /// by first node: entry `p * n + c` relates `p` to `c`.
+  const RelationCode* relation_codes(int32_t index) const {
+    return relation_codes_.data() +
+           code_offsets_[static_cast<size_t>(index)];
+  }
+
+  /// The largest code of any schema; 0 when the repository is empty.
+  RelationCode max_relation_code() const { return max_relation_code_; }
+
  private:
   std::vector<Schema> schemas_;
   size_t total_elements_ = 0;
+  std::vector<RelationCode> relation_codes_;
+  /// Where each schema's codes start in `relation_codes_`.
+  std::vector<size_t> code_offsets_;
+  RelationCode max_relation_code_ = 0;
 };
 
 }  // namespace smb::schema

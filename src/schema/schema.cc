@@ -88,36 +88,6 @@ std::string Schema::PathOf(NodeId id) const {
   return path;
 }
 
-int Schema::TreeDistance(NodeId a, NodeId b) const {
-  if (!IsValid(a) || !IsValid(b)) return -1;
-  // Walk the deeper node up until depths match, then walk both up.
-  int dist = 0;
-  while (node(a).depth > node(b).depth) {
-    a = node(a).parent;
-    ++dist;
-  }
-  while (node(b).depth > node(a).depth) {
-    b = node(b).parent;
-    ++dist;
-  }
-  while (a != b) {
-    a = node(a).parent;
-    b = node(b).parent;
-    dist += 2;
-  }
-  return dist;
-}
-
-bool Schema::IsAncestor(NodeId ancestor, NodeId descendant) const {
-  if (!IsValid(ancestor) || !IsValid(descendant)) return false;
-  NodeId cur = descendant;
-  while (cur != kInvalidNode) {
-    if (cur == ancestor) return true;
-    cur = node(cur).parent;
-  }
-  return false;
-}
-
 Status Schema::Validate() const {
   if (nodes_.empty()) return Status::OK();
   size_t roots = 0;

@@ -92,14 +92,6 @@ class Schema {
   /// \brief Slash-joined name path from the root, e.g. "library/book/title".
   std::string PathOf(NodeId id) const;
 
-  /// Number of edges between two nodes of this schema (tree distance).
-  /// Returns -1 if either id is invalid.
-  int TreeDistance(NodeId a, NodeId b) const;
-
-  /// True iff `ancestor` lies on the root path of `descendant`
-  /// (a node is its own ancestor).
-  bool IsAncestor(NodeId ancestor, NodeId descendant) const;
-
   /// \brief Structural verification: parent/child links consistent, depths
   /// correct, exactly one root, no cycles. Used by tests and after
   /// deserialization.

@@ -157,9 +157,10 @@ TEST(GroundTruthIoTest, SkipsKeysNotInTruth) {
   eval::GroundTruth truth;
   truth.AddCorrect({0, {1}});
   std::vector<match::Mapping::Key> keys = {{0, {1}}, {9, {9}}};
-  auto reparsed = ReadGroundTruthCsv(WriteGroundTruthCsv(truth, keys)).value();
-  EXPECT_EQ(reparsed.size(), 1u);
-  EXPECT_FALSE(reparsed.Contains(match::Mapping::Key{9, {9}}));
+  auto reparsed = ReadGroundTruthCsv(WriteGroundTruthCsv(truth, keys));
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status();
+  EXPECT_EQ(reparsed->size(), 1u);
+  EXPECT_FALSE(reparsed->Contains(match::Mapping::Key{9, {9}}));
 }
 
 TEST(GroundTruthIoTest, RejectsWrongKind) {

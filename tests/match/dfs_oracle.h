@@ -69,8 +69,9 @@ class OracleSearch {
     if (list != nullptr) {
       for (const CandidateEntry& entry : *list) {
         Step(pos, sum, entry.node,
-             objective_.AssignCostWithNodeCost(schema_index_, entry.node,
-                                               parent, entry.cost));
+             objective_.AssignCostWithNodeCost(
+                 objective_.EdgeCodes(schema_index_, parent), entry.node,
+                 entry.cost));
       }
       return;
     }

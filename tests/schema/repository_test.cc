@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "../testing/tree_walk.h"
+
 namespace smb::schema {
 namespace {
 
@@ -58,6 +63,102 @@ TEST(RepositoryTest, FindByName) {
   repo.Add(MakeSmall("second", "b", 1)).value();
   EXPECT_EQ(repo.FindByName("second"), 1);
   EXPECT_EQ(repo.FindByName("missing"), -1);
+}
+
+/// library { book { title, author { name } }, member }
+Schema MakeLibrary() {
+  Schema s("lib");
+  NodeId root = s.AddRoot("library").value();
+  NodeId book = s.AddChild(root, "book").value();
+  s.AddChild(book, "title").value();
+  NodeId author = s.AddChild(book, "author").value();
+  s.AddChild(author, "name").value();
+  s.AddChild(root, "member").value();
+  return s;
+}
+
+/// The n × n codes of schema `index`, copied out.
+std::vector<RelationCode> CodesOf(const SchemaRepository& repo,
+                                  int32_t index) {
+  const size_t n = repo.schema(index).size();
+  return std::vector<RelationCode>(repo.relation_codes(index),
+                                   repo.relation_codes(index) + n * n);
+}
+
+TEST(RepositoryTest, RelationCodesMatchTreeWalks) {
+  SchemaRepository repo;
+  repo.Add(MakeSmall("a", "alpha", 3)).value();
+  repo.Add(MakeLibrary()).value();
+  const Schema& s = repo.schema(1);
+  const std::vector<RelationCode> codes = CodesOf(repo, 1);
+  const auto n = static_cast<NodeId>(s.size());
+  for (NodeId p = 0; p < n; ++p) {
+    for (NodeId c = 0; c < n; ++c) {
+      const RelationCode code = codes[static_cast<size_t>(p * n + c)];
+      EXPECT_EQ(RelationDistance(code), testing::TreeDistance(s, p, c));
+      RelationKind kind = RelationKind::kUnrelated;
+      if (p == c) {
+        kind = RelationKind::kSame;
+      } else if (testing::IsAncestor(s, p, c)) {
+        kind = RelationKind::kAncestor;
+      } else if (testing::IsAncestor(s, c, p)) {
+        kind = RelationKind::kInverted;
+      }
+      EXPECT_EQ(RelationKindOf(code), kind) << p << " -> " << c;
+    }
+  }
+  // name (4) and member (5) are 4 edges apart, the widest pair of both
+  // schemas.
+  EXPECT_EQ(*std::max_element(codes.begin(), codes.end()),
+            MakeRelationCode(RelationKind::kUnrelated, 4));
+  EXPECT_EQ(repo.max_relation_code(),
+            MakeRelationCode(RelationKind::kUnrelated, 4));
+  // Schema 1's codes follow schema 0's 4 × 4.
+  EXPECT_EQ(repo.relation_codes(1), repo.relation_codes(0) + 16);
+}
+
+TEST(RepositoryTest, RejectedAddLeavesRelationCodesUnchanged) {
+  SchemaRepository repo;
+  repo.Add(MakeLibrary()).value();
+  const std::vector<RelationCode> codes = CodesOf(repo, 0);
+  const RelationCode max_code = repo.max_relation_code();
+
+  EXPECT_FALSE(repo.Add(Schema("empty")).ok());
+  // Two nodes of a chain this deep could be farther apart than a code
+  // holds; the check runs before any code is built.
+  Schema deep("deep");
+  NodeId cur = deep.AddRoot("n").value();
+  for (int i = 0; i < kMaxRelationDistance / 2 + 1; ++i) {
+    cur = deep.AddChild(cur, "n").value();
+  }
+  auto too_deep = repo.Add(std::move(deep));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(repo.schema_count(), 1u);
+  EXPECT_EQ(CodesOf(repo, 0), codes);
+  EXPECT_EQ(repo.max_relation_code(), max_code);
+  // The next schema's codes start right after the first one's 6 × 6.
+  EXPECT_EQ(repo.Add(MakeSmall("b", "beta", 1)).value(), 1);
+  EXPECT_EQ(repo.relation_codes(1), repo.relation_codes(0) + 36);
+  EXPECT_EQ(CodesOf(repo, 1),
+            (std::vector<RelationCode>{
+                MakeRelationCode(RelationKind::kSame, 0),
+                MakeRelationCode(RelationKind::kAncestor, 1),
+                MakeRelationCode(RelationKind::kInverted, 1),
+                MakeRelationCode(RelationKind::kSame, 0)}));
+}
+
+TEST(RepositoryTest, CopyKeepsRelationCodes) {
+  SchemaRepository repo;
+  repo.Add(MakeLibrary()).value();
+  repo.Add(MakeSmall("a", "alpha", 5)).value();
+  const SchemaRepository copy = repo;
+  EXPECT_EQ(copy.max_relation_code(), repo.max_relation_code());
+  for (int32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(CodesOf(copy, i), CodesOf(repo, i));
+    EXPECT_NE(copy.relation_codes(i), repo.relation_codes(i));
+  }
 }
 
 TEST(RepositoryTest, ElementRefOrdering) {

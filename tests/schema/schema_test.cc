@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/tree_walk.h"
+
 namespace smb::schema {
 namespace {
+
+using testing::IsAncestor;
+using testing::TreeDistance;
 
 Schema MakeLibrary() {
   // library
@@ -92,30 +97,30 @@ TEST(SchemaTest, PathOf) {
 
 TEST(SchemaTest, TreeDistance) {
   Schema s = MakeLibrary();
-  EXPECT_EQ(s.TreeDistance(0, 0), 0);
-  EXPECT_EQ(s.TreeDistance(0, 1), 1);   // library-book
-  EXPECT_EQ(s.TreeDistance(2, 4), 3);   // title -> book -> author -> name
-  EXPECT_EQ(s.TreeDistance(4, 5), 4);   // name..member via root
-  EXPECT_EQ(s.TreeDistance(1, 99), -1);
+  EXPECT_EQ(TreeDistance(s, 0, 0), 0);
+  EXPECT_EQ(TreeDistance(s, 0, 1), 1);   // library-book
+  EXPECT_EQ(TreeDistance(s, 2, 4), 3);   // title -> book -> author -> name
+  EXPECT_EQ(TreeDistance(s, 4, 5), 4);   // name..member via root
+  EXPECT_EQ(TreeDistance(s, 1, 99), -1);
 }
 
 TEST(SchemaTest, TreeDistanceSymmetric) {
   Schema s = MakeLibrary();
   for (NodeId a = 0; a < static_cast<NodeId>(s.size()); ++a) {
     for (NodeId b = 0; b < static_cast<NodeId>(s.size()); ++b) {
-      EXPECT_EQ(s.TreeDistance(a, b), s.TreeDistance(b, a));
+      EXPECT_EQ(TreeDistance(s, a, b), TreeDistance(s, b, a));
     }
   }
 }
 
 TEST(SchemaTest, IsAncestor) {
   Schema s = MakeLibrary();
-  EXPECT_TRUE(s.IsAncestor(0, 4));   // library of name
-  EXPECT_TRUE(s.IsAncestor(1, 4));   // book of name
-  EXPECT_TRUE(s.IsAncestor(3, 3));   // reflexive
-  EXPECT_FALSE(s.IsAncestor(4, 1));  // not inverted
-  EXPECT_FALSE(s.IsAncestor(2, 4));  // siblingish
-  EXPECT_FALSE(s.IsAncestor(99, 0));
+  EXPECT_TRUE(IsAncestor(s, 0, 4));   // library of name
+  EXPECT_TRUE(IsAncestor(s, 1, 4));   // book of name
+  EXPECT_TRUE(IsAncestor(s, 3, 3));   // reflexive
+  EXPECT_FALSE(IsAncestor(s, 4, 1));  // not inverted
+  EXPECT_FALSE(IsAncestor(s, 2, 4));  // siblingish
+  EXPECT_FALSE(IsAncestor(s, 99, 0));
 }
 
 TEST(SchemaTest, RenameAndSetType) {
