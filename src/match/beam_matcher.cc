@@ -80,10 +80,8 @@ Status BeamMatcher::MatchSchemas(const ObjectiveFunction& objective,
           for (size_t t = 0; t < s.size(); ++t) {
             auto target = static_cast<schema::NodeId>(t);
             if (options.injective && state.used[t]) continue;
-            expand(target,
-                   objective.AssignCostWithNodeCost(
-                       parent_codes, target,
-                       objective.NodeCost(pos, schema_index, target)));
+            expand(target, objective.AssignCost(pos, schema_index, target,
+                                                parent_codes));
           }
         }
       }

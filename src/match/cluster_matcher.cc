@@ -86,17 +86,16 @@ Status ClusterMatcher::MatchSchemas(const ObjectiveFunction& objective,
         if (stats != nullptr) ++stats->mappings_emitted;
         return;
       }
-      schema::NodeId parent_target = schema::kInvalidNode;
+      const schema::RelationCode* parent_codes = nullptr;
       size_t parent_pos = objective.parent_position()[pos];
       if (parent_pos != ObjectiveFunction::kNoParent) {
-        parent_target = targets[parent_pos];
+        parent_codes = objective.EdgeCodes(schema_index, targets[parent_pos]);
       }
       for (schema::NodeId target : allowed[pos][si - first]) {
         if (options.injective && used[static_cast<size_t>(target)]) continue;
         if (stats != nullptr) ++stats->states_explored;
         double cost = cost_so_far + objective.AssignCost(pos, schema_index,
-                                                         target,
-                                                         parent_target);
+                                                         target, parent_codes);
         if (cost > budget) {
           if (stats != nullptr) ++stats->states_pruned;
           continue;

@@ -136,9 +136,7 @@ class SchemaEnumerator {
       const auto target = static_cast<schema::NodeId>(i);
       if (options_.injective && used_[i]) continue;
       Visit(pos, cost_so_far, target,
-            objective_.AssignCostWithNodeCost(
-                parent_codes, target,
-                objective_.NodeCost(pos, schema_index_, target)));
+            objective_.AssignCost(pos, schema_index_, target, parent_codes));
     }
   }
 

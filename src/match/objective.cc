@@ -134,13 +134,6 @@ double ObjectiveFunction::NodeCost(size_t pos, int32_t schema_index,
   return slot;
 }
 
-double ObjectiveFunction::AssignCost(size_t pos, int32_t schema_index,
-                                     schema::NodeId target,
-                                     schema::NodeId parent_target) const {
-  return AssignCostWithNodeCost(EdgeCodes(schema_index, parent_target), target,
-                                NodeCost(pos, schema_index, target));
-}
-
 double ObjectiveFunction::Delta(
     int32_t schema_index, const std::vector<schema::NodeId>& targets) const {
   assert(targets.size() == preorder_.size());
@@ -150,7 +143,8 @@ double ObjectiveFunction::Delta(
     if (parent_position_[pos] != kNoParent) {
       parent_target = targets[parent_position_[pos]];
     }
-    total += AssignCost(pos, schema_index, targets[pos], parent_target);
+    total += AssignCost(pos, schema_index, targets[pos],
+                        EdgeCodes(schema_index, parent_target));
   }
   return total / normalizer_;
 }

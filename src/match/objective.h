@@ -207,7 +207,7 @@ class ObjectiveFunction {
   /// \brief The relation codes from `parent_target` to every node of
   /// schema `schema_index`, indexed by the child's target; nullptr for
   /// `kInvalidNode` (the root position has no edge). Enumerators fetch it
-  /// once per parent target and hand it to `AssignCostWithNodeCost`.
+  /// once per parent target and hand it to `AssignCost`.
   const schema::RelationCode* EdgeCodes(int32_t schema_index,
                                         schema::NodeId parent_target) const {
     if (parent_target == schema::kInvalidNode) return nullptr;
@@ -217,17 +217,19 @@ class ObjectiveFunction {
   }
 
   /// \brief Un-normalized cost contribution of assigning `pos` -> `target`,
-  /// given the target of `pos`'s parent (`kInvalidNode` for the root).
-  /// Summing contributions over all positions and dividing by
-  /// `normalizer()` yields Δ. All contributions are >= 0, which makes
-  /// prefix sums an admissible lower bound for search pruning.
+  /// given the code row of `pos`'s parent target (`EdgeCodes`; nullptr for
+  /// the root position). Summing contributions over all positions and
+  /// dividing by `normalizer()` yields Δ. All contributions are >= 0, which
+  /// makes prefix sums an admissible lower bound for search pruning.
   double AssignCost(size_t pos, int32_t schema_index, schema::NodeId target,
-                    schema::NodeId parent_target) const;
+                    const schema::RelationCode* parent_codes) const {
+    return AssignCostWithNodeCost(parent_codes, target,
+                                  NodeCost(pos, schema_index, target));
+  }
 
   /// \brief Same contribution when the name+type node cost is already known
   /// (the candidate path: `CandidateEntry::cost` is exact, so going through
-  /// the lazy cache again would be wasted work) and the parent target's code
-  /// row is in hand (`EdgeCodes`; nullptr for the root position).
+  /// the lazy cache again would be wasted work).
   double AssignCostWithNodeCost(const schema::RelationCode* parent_codes,
                                 schema::NodeId target,
                                 double node_cost) const {

@@ -104,10 +104,8 @@ Status TopKMatcher::MatchSchemas(const ObjectiveFunction& objective,
         for (size_t t = 0; t < s.size(); ++t) {
           auto target = static_cast<schema::NodeId>(t);
           if (is_used(target)) continue;
-          expand(target,
-                 objective.AssignCostWithNodeCost(
-                     parent_codes, target,
-                     objective.NodeCost(pos, schema_index, target)));
+          expand(target, objective.AssignCost(pos, schema_index, target,
+                                              parent_codes));
         }
       }
       // Safety valve: bound frontier memory by rebuilding without the

@@ -63,16 +63,11 @@ Result<int32_t> SchemaRepository::Add(Schema schema) {
   if (schema.empty()) {
     return Status::InvalidArgument("cannot add an empty schema");
   }
-  int max_depth = 0;
-  for (size_t i = 0; i < schema.size(); ++i) {
-    max_depth = std::max(max_depth, schema.node(static_cast<NodeId>(i)).depth);
-  }
-  // Two nodes are at most 2 · max_depth edges apart.
-  if (max_depth > kMaxRelationDistance / 2) {
+  if (schema.size() > kMaxSchemaElements) {
     return Status::InvalidArgument(
-        "schema '" + schema.name() + "' is " + std::to_string(max_depth) +
-        " levels deep; relation codes hold at most " +
-        std::to_string(kMaxRelationDistance / 2));
+        "schema '" + schema.name() + "' has " + std::to_string(schema.size()) +
+        " elements; a repository schema holds at most " +
+        std::to_string(kMaxSchemaElements));
   }
   const size_t offset = relation_codes_.size();
   max_relation_code_ = std::max(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,9 +51,16 @@ enum class RelationKind : uint8_t {
   kUnrelated = 3,  ///< Neither; the distance runs through their LCA.
 };
 
-/// The largest distance a code holds exactly. Codes never saturate: `Add`
-/// rejects a schema deep enough to exceed it.
+/// The largest distance a code holds exactly.
 inline constexpr int kMaxRelationDistance = 0xFFFF >> 2;
+
+/// The most elements a repository schema may have. Its codes take n² × 2
+/// bytes, 32 MiB at this size; `Add` rejects a larger schema before it
+/// allocates any. No two nodes of a schema this small are more than n − 1
+/// edges apart, so codes never saturate.
+inline constexpr size_t kMaxSchemaElements = 4096;
+static_assert(kMaxSchemaElements - 1 <=
+              static_cast<size_t>(kMaxRelationDistance));
 
 inline RelationCode MakeRelationCode(RelationKind kind, int distance) {
   return static_cast<RelationCode>((distance << 2) |
@@ -72,8 +80,9 @@ class SchemaRepository {
  public:
   SchemaRepository() = default;
 
-  /// \brief Adds a schema (validated first) and builds its relation codes.
-  /// Returns its index. A rejected schema changes nothing.
+  /// \brief Adds a schema (validated first, at most `kMaxSchemaElements`
+  /// elements) and builds its relation codes. Returns its index. A rejected
+  /// schema changes nothing.
   Result<int32_t> Add(Schema schema);
 
   /// Number of schemas.

@@ -59,9 +59,10 @@ class OracleSearch {
       return;
     }
     const size_t parent_pos = objective_.parent_position()[pos];
-    const schema::NodeId parent = parent_pos == ObjectiveFunction::kNoParent
-                                      ? schema::kInvalidNode
-                                      : targets_[parent_pos];
+    const schema::RelationCode* parent_codes =
+        parent_pos == ObjectiveFunction::kNoParent
+            ? nullptr
+            : objective_.EdgeCodes(schema_index_, targets_[parent_pos]);
     const std::vector<CandidateEntry>* list =
         objective_.candidates() == nullptr
             ? nullptr
@@ -69,16 +70,15 @@ class OracleSearch {
     if (list != nullptr) {
       for (const CandidateEntry& entry : *list) {
         Step(pos, sum, entry.node,
-             objective_.AssignCostWithNodeCost(
-                 objective_.EdgeCodes(schema_index_, parent), entry.node,
-                 entry.cost));
+             objective_.AssignCostWithNodeCost(parent_codes, entry.node,
+                                               entry.cost));
       }
       return;
     }
     for (size_t i = 0; i < used_.size(); ++i) {
       const auto target = static_cast<schema::NodeId>(i);
       Step(pos, sum, target,
-           objective_.AssignCost(pos, schema_index_, target, parent));
+           objective_.AssignCost(pos, schema_index_, target, parent_codes));
     }
   }
 

@@ -134,8 +134,9 @@ TEST(ObjectiveTest, DeltaMatchesSumOfAssignCosts) {
   schema::SchemaRepository repo = MakeRepo();
   ObjectiveFunction obj(&query, &repo);
   std::vector<schema::NodeId> targets = {0, 4, 5};
-  double manual = obj.AssignCost(0, 0, 0, schema::kInvalidNode) +
-                  obj.AssignCost(1, 0, 4, 0) + obj.AssignCost(2, 0, 5, 0);
+  double manual = obj.AssignCost(0, 0, 0, nullptr) +
+                  obj.AssignCost(1, 0, 4, obj.EdgeCodes(0, 0)) +
+                  obj.AssignCost(2, 0, 5, obj.EdgeCodes(0, 0));
   EXPECT_NEAR(obj.Delta(0, targets), manual / obj.normalizer(), 1e-12);
 }
 

@@ -124,16 +124,10 @@ TEST(RepositoryTest, RejectedAddLeavesRelationCodesUnchanged) {
   const RelationCode max_code = repo.max_relation_code();
 
   EXPECT_FALSE(repo.Add(Schema("empty")).ok());
-  // Two nodes of a chain this deep could be farther apart than a code
-  // holds; the check runs before any code is built.
-  Schema deep("deep");
-  NodeId cur = deep.AddRoot("n").value();
-  for (int i = 0; i < kMaxRelationDistance / 2 + 1; ++i) {
-    cur = deep.AddChild(cur, "n").value();
-  }
-  auto too_deep = repo.Add(std::move(deep));
-  ASSERT_FALSE(too_deep.ok());
-  EXPECT_EQ(too_deep.status().code(), StatusCode::kInvalidArgument);
+  // One element over the bound: rejected before any code is built.
+  auto too_large = repo.Add(MakeSmall("large", "n", kMaxSchemaElements));
+  ASSERT_FALSE(too_large.ok());
+  EXPECT_EQ(too_large.status().code(), StatusCode::kInvalidArgument);
 
   EXPECT_EQ(repo.schema_count(), 1u);
   EXPECT_EQ(CodesOf(repo, 0), codes);
@@ -147,6 +141,22 @@ TEST(RepositoryTest, RejectedAddLeavesRelationCodesUnchanged) {
                 MakeRelationCode(RelationKind::kAncestor, 1),
                 MakeRelationCode(RelationKind::kInverted, 1),
                 MakeRelationCode(RelationKind::kSame, 0)}));
+}
+
+TEST(RepositoryTest, AcceptsASchemaAtTheSizeBound) {
+  SchemaRepository repo;
+  // A chain, so the farthest pair is kMaxSchemaElements - 1 edges apart.
+  Schema chain("chain");
+  NodeId cur = chain.AddRoot("n").value();
+  for (size_t i = 1; i < kMaxSchemaElements; ++i) {
+    cur = chain.AddChild(cur, "n").value();
+  }
+  ASSERT_TRUE(repo.Add(std::move(chain)).ok());
+  const auto n = static_cast<NodeId>(kMaxSchemaElements);
+  const RelationCode root_to_leaf = repo.relation_codes(0)[n - 1];
+  EXPECT_EQ(root_to_leaf, MakeRelationCode(RelationKind::kAncestor, n - 1));
+  EXPECT_EQ(repo.max_relation_code(),
+            MakeRelationCode(RelationKind::kInverted, n - 1));
 }
 
 TEST(RepositoryTest, CopyKeepsRelationCodes) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+
+#include "schema/repository.h"
+
 namespace smb::schema {
 namespace {
 
@@ -132,6 +137,35 @@ TEST(XsdReaderTest, RecursiveTypeIsCutAtMaxDepth) {
   ASSERT_TRUE(schema.ok()) << schema.status();
   EXPECT_LE(schema->size(), 7u);
   EXPECT_TRUE(schema->Validate().ok());
+}
+
+// A type that refers to itself twice doubles at every level, so the
+// expansion cut at depth 16 has 2^17 - 1 elements: the reader accepts it,
+// but it is too large for a repository, and a directory holding it fails to
+// load with InvalidArgument instead of allocating its relation codes.
+TEST(XsdReaderTest, DoublyRecursiveTypeIsTooLargeForARepository) {
+  const char* xsd = R"(<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+    <xs:element name="tree" type="TreeType"/>
+    <xs:complexType name="TreeType">
+      <xs:sequence>
+        <xs:element name="left" type="TreeType"/>
+        <xs:element name="right" type="TreeType"/>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:schema>)";
+  auto schema = ReadXsd(xsd, "tree.xsd");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  EXPECT_EQ(schema->size(), (size_t{1} << 17) - 1);
+
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "xsd_doubly_recursive";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::ofstream(dir / "tree.xsd") << xsd;
+  auto repo = LoadRepositoryDir(dir.string());
+  ASSERT_FALSE(repo.ok());
+  EXPECT_EQ(repo.status().code(), StatusCode::kInvalidArgument);
+  fs::remove_all(dir);
 }
 
 TEST(XsdReaderTest, ComplexContentExtension) {
