@@ -586,7 +586,9 @@ BENCHMARK(BM_AdaptiveGenerate)->Arg(1)->Arg(2)->Arg(4)
 // per 8 queries. Counters "index_ms" and "match_ms" are the per-query means
 // of `BatchMatchStats::index_seconds` (candidate generation) and
 // `match_seconds` (the phase in which workers run their schema ranges
-// against the run's one objective).
+// against the run's one objective); "schemas_pruned" is the per-query mean
+// of the schemas candidate generation left empty because no mapping into
+// them is within Δ, and "answers" the per-query mean answer count.
 struct StreamSetup {
   schema::SchemaRepository repo;
   std::vector<schema::Schema> queries;
@@ -633,6 +635,8 @@ void BM_EngineRunStream(benchmark::State& state) {
   engine::BatchMatchEngine batch(bopts);
   double index_seconds = 0.0;
   double match_seconds = 0.0;
+  uint64_t schemas_pruned = 0;
+  uint64_t answers = 0;
   size_t runs = 0;
   for (auto _ : state) {
     for (const schema::Schema& query : setup.queries) {
@@ -645,14 +649,20 @@ void BM_EngineRunStream(benchmark::State& state) {
       benchmark::DoNotOptimize(result);
       index_seconds += stats.index_seconds;
       match_seconds += stats.match_seconds;
+      schemas_pruned += stats.adaptive.schemas_pruned;
+      answers += result->size();
       ++runs;
     }
   }
   if (runs > 0) {
-    state.counters["index_ms"] =
-        1000.0 * index_seconds / static_cast<double>(runs);
-    state.counters["match_ms"] =
-        1000.0 * match_seconds / static_cast<double>(runs);
+    const auto per_query = [&](double total) {
+      return total / static_cast<double>(runs);
+    };
+    state.counters["index_ms"] = per_query(1000.0 * index_seconds);
+    state.counters["match_ms"] = per_query(1000.0 * match_seconds);
+    state.counters["schemas_pruned"] =
+        per_query(static_cast<double>(schemas_pruned));
+    state.counters["answers"] = per_query(static_cast<double>(answers));
   }
 }
 BENCHMARK(BM_EngineRunStream)->Arg(2000)->Arg(10000)

@@ -102,6 +102,8 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   // run's Δ threshold — `adaptive`'s target, or, for a run without a
   // policy, 1.0 with no cap, whose lists hold every target that can reach
   // an answer (the exhaustive run). Target 0 keeps the top C of every cell.
+  // Where the rounds are planned, a schema with no mapping within Δ gets
+  // empty lists, so phase 2 spends nothing on it.
   const index::PreparedRepository* prepared = options_.prepared_repository;
   std::optional<index::PreparedRepository> owned_prepared;
   if (prepared == nullptr) {
@@ -122,7 +124,7 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   // even when shards are few.
   generator.set_num_threads(threads);
   generator.set_name_row_cache(options_.name_row_cache);
-  Result<index::QueryCandidates> generated = generator.GenerateAdaptive(
+  Result<index::QueryCandidates> generated = generator.GenerateForMatching(
       query, options_.policy(), match_options.delta_threshold,
       &local.adaptive);
   if (!generated.ok()) {
@@ -145,11 +147,8 @@ Result<match::AnswerSet> BatchMatchEngine::Run(
   for (size_t i = 0; i < shards.size(); ++i) {
     for (size_t pos = 0; pos < candidates.positions(); ++pos) {
       for (size_t s = 0; s < shards[i].schema_count; ++s) {
-        local.shard_candidates_generated[i] +=
-            candidates
-                .CandidatesFor(pos, static_cast<int32_t>(
-                                        shards[i].first_schema + s))
-                ->size();
+        local.shard_candidates_generated[i] += candidates.CandidatesOffered(
+            pos, static_cast<int32_t>(shards[i].first_schema + s));
       }
     }
   }

@@ -48,6 +48,13 @@
 ///    (`index::QueryCandidates::SkipLowerBound`).
 /// Every target above 0 is bound-driven (`BatchMatchOptions::bound_driven`).
 ///
+/// The lists come from `index::CandidateGenerator::GenerateForMatching`:
+/// where only full coverage can certify at the run's Δ (the served
+/// regime), a schema whose exact tree bound shows no mapping within Δ gets
+/// empty lists before any is built, so neither phase spends work on it,
+/// while answers, Δ values and certificates are those of the unfiltered
+/// lists (`BatchMatchStats::adaptive.schemas_pruned` counts them).
+///
 /// The lists answer every cost the matchers read, so the objective's lazy
 /// cache is never written and the workers share it read-only. Budget
 /// accounting (candidates scored, escalations, the achieved bound,
@@ -124,9 +131,9 @@ struct BatchMatchStats {
   /// scored, escalated/capped cells and the achieved bound distribution.
   /// All zero on the single-run fallback, which generates nothing.
   index::AdaptiveGenerationStats adaptive;
-  /// Candidate entries handed to each shard (Σ over the shard's (position,
-  /// schema) cells) — the per-shard budget the index spent. Empty on the
-  /// single-run fallback.
+  /// Candidate entries given to each shard (Σ `CandidatesOffered` over the
+  /// shard's (position, schema) cells) — the per-shard budget the index
+  /// spent. Empty on the single-run fallback.
   std::vector<uint64_t> shard_candidates_generated;
 };
 

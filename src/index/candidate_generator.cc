@@ -7,12 +7,15 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/mutex.h"
 #include "common/parallel.h"
 #include "match/fingerprint.h"
+#include "match/tree_bound.h"
 #include "sim/prepared_kernel.h"
 #include "sim/synonyms.h"
 
@@ -27,7 +30,10 @@
 /// pass per cell at a per-cell limit. There a cell whose limit reaches its
 /// schema size skips the scoring pass: it is gathered from its position's
 /// name row (one batched similarity per distinct name of the position's
-/// full-coverage cells) and sorted. `GenerateAdaptive` runs that pass once:
+/// full-coverage cells) and sorted; for `GenerateForMatching` in the
+/// planned regime a schema whose tree bound (`match::TreeBound`) is over
+/// the run's budget is left empty first. `GenerateAdaptive` runs that pass
+/// once:
 /// at the initial limit (round 0), or — when only full coverage can
 /// certify at the run's Δ — at the final limits of escalation rounds
 /// planned from the schema sizes. Outside the planned regime it then keeps
@@ -206,16 +212,15 @@ class GenerationEngine {
                                      prepared_->token_table());
   }
 
-  /// \brief Runs the retrieval pass for one query node: trigram postings
-  /// with multiplicities (exact Dice numerators), strong evidence (shared
-  /// tokens, token synonym groups, equal folded names, whole-name synonym
-  /// groups), grouped by schema.
+  /// \brief Runs the retrieval pass for one query node whose name `out`
+  /// already holds (`Prepare`): trigram postings with multiplicities (exact
+  /// Dice numerators), strong evidence (shared tokens, token synonym groups,
+  /// equal folded names, whole-name synonym groups), grouped by schema.
   void Retrieve(const schema::SchemaNode& qnode, PositionRetrieval* out) {
     if (shared_.size() != prepared_->element_count()) {
       shared_.assign(prepared_->element_count(), 0);
       strong_.assign(prepared_->element_count(), 0);
     }
-    Prepare(qnode, out);
     out->hits.clear();
     out->type_bucket =
         qnode.type.empty() ? nullptr : prepared_->TypeBucket(qnode.type);
@@ -937,20 +942,24 @@ class ParallelCellScorer {
 
   size_t threads() const { return threads_; }
 
-  /// Runs the retrieval pass of every query position whose `retrieve`
-  /// flag is set and only prepares the query name of the others, one
-  /// position per work item.
-  void RetrieveAll(const std::vector<uint8_t>& retrieve,
-                   std::vector<PositionRetrieval>* retrievals) {
+  /// Prepares the query name of every position, one position per work
+  /// item.
+  void PrepareAll(std::vector<PositionRetrieval>* retrievals) {
     retrievals->resize(preorder_.size());
     ParallelFor(threads_, preorder_.size(), [&](size_t worker, size_t pos) {
-      GenerationEngine& engine = workers_[worker].engine;
-      const schema::SchemaNode& qnode = query_.node(preorder_[pos]);
-      if (retrieve[pos] != 0) {
-        engine.Retrieve(qnode, &(*retrievals)[pos]);
-      } else {
-        engine.Prepare(qnode, &(*retrievals)[pos]);
-      }
+      workers_[worker].engine.Prepare(query_.node(preorder_[pos]),
+                                      &(*retrievals)[pos]);
+    });
+  }
+
+  /// Runs the retrieval pass of every prepared position whose `retrieve`
+  /// flag is set, one position per work item.
+  void RetrieveAll(const std::vector<uint8_t>& retrieve,
+                   std::vector<PositionRetrieval>* retrievals) {
+    ParallelFor(threads_, preorder_.size(), [&](size_t worker, size_t pos) {
+      if (retrieve[pos] == 0) return;
+      workers_[worker].engine.Retrieve(query_.node(preorder_[pos]),
+                                       &(*retrievals)[pos]);
     });
   }
 
@@ -1086,8 +1095,10 @@ namespace {
 /// Names per work item of the name-row fill: items are (position, chunk)
 /// pairs, so a few thousand names spread over the workers.
 constexpr size_t kRowChunk = 256;
-/// Schemas per work item of the threaded gather.
-constexpr size_t kGatherSchemas = 64;
+/// Schemas per work item of the schema-major pass (costs, tree bound,
+/// gather): small enough that a few hundred schemas still spread over the
+/// workers.
+constexpr size_t kGatherSchemas = 16;
 
 /// Scores `names` against `query_name` in one `ScoreMany` batch over the
 /// names' representatives and writes each similarity to `row[name]`. With
@@ -1109,27 +1120,59 @@ void ScoreNameRow(const PreparedRepository& prepared,
   for (size_t i = 0; i < names.size(); ++i) row[names[i]] = scores[i].score;
 }
 
-/// Fills a full-coverage cell from its position's name row: every node of
-/// the schema at `ComputeNodeCost`'s expression over the row's similarity,
-/// sorted by (cost, node) — exactly what the max-heap keeps when the limit
-/// reaches the schema size, since then nothing is dropped or pruned — and
-/// the skip-bound +infinity.
-void GatherCell(const PreparedRepository& prepared,
-                const match::ObjectiveOptions& objective,
-                const std::vector<double>& row,
-                const schema::SchemaNode& qnode, int32_t schema_index,
-                std::vector<match::CandidateEntry>* entries,
-                double* skip_bound) {
-  const schema::Schema& schema = prepared.repo().schema(schema_index);
+/// By element ordinal, whether the element's declared type differs from
+/// `qnode`'s, so that `ApplyTypePenalty` penalizes the pair; empty when it
+/// penalizes none. Read off the index's type buckets (untyped elements and
+/// those of the query's type are the unpenalized ones), so no type string
+/// is compared per node.
+std::vector<uint8_t> TypeMismatches(const PreparedRepository& prepared,
+                                    const match::ObjectiveOptions& objective,
+                                    const schema::SchemaNode& qnode) {
+  std::vector<uint8_t> mismatch;
+  if (!objective.type_aware || qnode.type.empty()) return mismatch;
+  mismatch.assign(prepared.element_count(), 1);
+  for (const std::string_view type : {std::string_view(),
+                                      std::string_view(qnode.type)}) {
+    if (const std::vector<uint32_t>* bucket = prepared.TypeBucket(type)) {
+      for (uint32_t ordinal : *bucket) mismatch[ordinal] = 0;
+    }
+  }
+  return mismatch;
+}
+
+/// Writes the node cost of every node of `schema_index` for one query
+/// position from the position's name row (`row`, null when it has none)
+/// and its `TypeMismatches`: `ComputeNodeCost`'s expression over the row's
+/// similarity, and 0 — a lower bound — for a name the row does not hold.
+void RowCosts(const PreparedRepository& prepared,
+              const match::ObjectiveOptions& objective, const double* row,
+              const std::vector<uint8_t>& mismatch, int32_t schema_index,
+              double* costs) {
   const uint32_t first = prepared.first_ordinal(schema_index);
-  entries->resize(schema.size());
-  for (size_t n = 0; n < schema.size(); ++n) {
-    const auto node = static_cast<schema::NodeId>(n);
+  const size_t size = prepared.repo().schema(schema_index).size();
+  for (size_t n = 0; n < size; ++n) {
+    const uint32_t ordinal = first + static_cast<uint32_t>(n);
     const double similarity =
-        row[prepared.name_id(first + static_cast<uint32_t>(n))];
-    (*entries)[n] = {node, match::ApplyTypePenalty(1.0 - similarity, qnode,
-                                                   schema.node(node),
-                                                   objective)};
+        row == nullptr ? kNotInRow : row[prepared.name_id(ordinal)];
+    if (similarity == kNotInRow) {
+      costs[n] = 0.0;
+    } else if (!mismatch.empty() && mismatch[ordinal] != 0) {
+      costs[n] = match::PenalizeTypeMismatch(1.0 - similarity, objective);
+    } else {
+      costs[n] = 1.0 - similarity;
+    }
+  }
+}
+
+/// Fills a full-coverage cell from the costs of every node of its schema
+/// (`RowCosts` over a row that holds every name of the schema), sorted by
+/// (cost, node) — exactly what the max-heap keeps when the limit reaches
+/// the schema size, since then nothing is dropped or pruned.
+void GatherCell(std::span<const double> costs,
+                std::vector<match::CandidateEntry>* entries) {
+  entries->resize(costs.size());
+  for (size_t n = 0; n < costs.size(); ++n) {
+    (*entries)[n] = {static_cast<schema::NodeId>(n), costs[n]};
   }
   std::sort(entries->begin(), entries->end(),
             [](const match::CandidateEntry& a,
@@ -1137,7 +1180,6 @@ void GatherCell(const PreparedRepository& prepared,
               if (a.cost != b.cost) return a.cost < b.cost;
               return a.node < b.node;
             });
-  *skip_bound = kInf;
 }
 
 }  // namespace
@@ -1196,17 +1238,21 @@ Status CandidateGenerator::ValidateQuery(const schema::Schema& query) const {
   return Status::OK();
 }
 
-void CandidateGenerator::FinalizeCounts(QueryCandidates* out) const {
+void CandidateGenerator::FinalizeCounts(const std::vector<size_t>& limits,
+                                        QueryCandidates* out) const {
   const schema::SchemaRepository& repo = prepared_->repo();
   out->generated_ = 0;
   out->skipped_ = 0;
-  for (size_t pos = 0; pos < out->positions_; ++pos) {
-    for (size_t si = 0; si < out->schema_count_; ++si) {
-      const size_t listed =
-          out->cells_[pos * out->schema_count_ + si].entries.size();
-      out->generated_ += listed;
-      out->skipped_ += repo.schema(static_cast<int32_t>(si)).size() - listed;
-    }
+  for (size_t cell_index = 0; cell_index < out->cells_.size(); ++cell_index) {
+    QueryCandidates::Cell& cell = out->cells_[cell_index];
+    const size_t size =
+        repo.schema(static_cast<int32_t>(cell_index % out->schema_count_))
+            .size();
+    // A scored cell lists exactly this many nodes; an emptied one, none.
+    cell.offered = std::min(limits[cell_index], size);
+    assert(cell.entries.size() == cell.offered || cell.entries.empty());
+    out->generated_ += cell.offered;
+    out->skipped_ += size - cell.offered;
   }
 }
 
@@ -1230,9 +1276,9 @@ void CandidateGenerator::InitOutput(const schema::Schema& query,
 void CandidateGenerator::ScoreEveryCell(
     ParallelCellScorer& workers, const schema::Schema& query,
     const std::vector<schema::NodeId>& preorder,
-    const std::vector<size_t>& limits,
-    std::vector<PositionRetrieval>* retrieval_out, QueryCandidates* out,
-    AdaptiveGenerationStats* spent) const {
+    const std::vector<size_t>& limits, const match::ObjectiveFunction* filter,
+    double delta_threshold, std::vector<PositionRetrieval>* retrieval_out,
+    QueryCandidates* out, AdaptiveGenerationStats* spent) const {
   const schema::SchemaRepository& repo = prepared_->repo();
   const size_t schema_count = out->schema_count_;
   const size_t m = preorder.size();
@@ -1244,15 +1290,12 @@ void CandidateGenerator::ScoreEveryCell(
 
   // Full-coverage cells are gathered from their position's name row;
   // partial cells keep the heap path, the only reader of the retrieval.
-  // The gather considers and costs every node, as the heap path does.
+  // The gather considers and costs every node, as the heap path does (the
+  // filter costs them too, so a pruned schema's are counted as well).
   std::vector<uint8_t> has_full(m, 0);
-  std::vector<uint8_t> has_partial(m, 0);
   for (size_t pos = 0; pos < m; ++pos) {
     for (size_t si = 0; si < schema_count; ++si) {
-      if (!full_coverage(pos * schema_count + si)) {
-        has_partial[pos] = 1;
-        continue;
-      }
+      if (!full_coverage(pos * schema_count + si)) continue;
       has_full[pos] = 1;
       const size_t size = repo.schema(static_cast<int32_t>(si)).size();
       spent->budget_spent += size;
@@ -1263,7 +1306,7 @@ void CandidateGenerator::ScoreEveryCell(
   // With one thread every stage below runs inline (`ParallelFor`).
   const size_t threads = workers.threads();
   std::vector<PositionRetrieval>& retrievals = *retrieval_out;
-  workers.RetrieveAll(has_partial, &retrievals);
+  workers.PrepareAll(&retrievals);
 
   // The names each position's row scores. A row from or for the cache is
   // complete (every name id). An uncached row holds the distinct names of
@@ -1339,26 +1382,80 @@ void CandidateGenerator::ScoreEveryCell(
                          retrievals[pos].name_row);
     }
   }
-  // Gather in (position, schema range) items: each cell has one writer.
+
+  // One pass over schema ranges, each cell with one writer: cost every
+  // (position, node) the schema needs from the rows, drop the schema when
+  // its tree bound is over budget, and gather its full-coverage cells from
+  // those costs. Without a filter only full-coverage positions are costed.
+  const double budget =
+      filter == nullptr ? 0.0
+                        : delta_threshold * filter->normalizer() + 1e-12 +
+                              match::kLookaheadSlack;
+  std::vector<uint8_t> pruned(schema_count, 0);
   const size_t ranges = (schema_count + kGatherSchemas - 1) / kGatherSchemas;
-  ParallelFor(threads, m * ranges, [&](size_t, size_t item) {
-    const size_t pos = item / ranges;
-    const size_t begin = (item % ranges) * kGatherSchemas;
+  struct FillScratch {
+    std::vector<double> costs;
+    std::optional<match::TreeBound> tree_bound;
+  };
+  std::vector<std::vector<uint8_t>> mismatch(m);
+  for (size_t pos = 0; pos < m; ++pos) {
+    // Only positions with a row have a cost that can be penalized.
+    if (retrievals[pos].name_row == nullptr) continue;
+    mismatch[pos] =
+        TypeMismatches(*prepared_, objective_, query.node(preorder[pos]));
+  }
+  std::vector<FillScratch> scratch(ParallelWorkers(threads, ranges));
+  ParallelFor(threads, ranges, [&](size_t worker, size_t item) {
+    FillScratch& own = scratch[worker];
+    if (filter != nullptr && !own.tree_bound) own.tree_bound.emplace(filter);
+    const size_t begin = item * kGatherSchemas;
     const size_t end = std::min(schema_count, begin + kGatherSchemas);
-    const schema::SchemaNode& qnode = query.node(preorder[pos]);
     for (size_t si = begin; si < end; ++si) {
-      const size_t cell_index = pos * schema_count + si;
-      if (!full_coverage(cell_index)) continue;
-      QueryCandidates::Cell& cell = out->cells_[cell_index];
-      GatherCell(*prepared_, objective_, *retrievals[pos].name_row, qnode,
-                 static_cast<int32_t>(si), &cell.entries, &cell.skip_bound);
+      const auto schema_index = static_cast<int32_t>(si);
+      const size_t n = repo.schema(schema_index).size();
+      own.costs.resize(m * n);
+      for (size_t pos = 0; pos < m; ++pos) {
+        if (filter == nullptr && !full_coverage(pos * schema_count + si)) {
+          continue;
+        }
+        const NameRow& row = retrievals[pos].name_row;
+        RowCosts(*prepared_, objective_, row == nullptr ? nullptr : row->data(),
+                 mismatch[pos], schema_index, own.costs.data() + pos * n);
+      }
+      if (filter != nullptr &&
+          own.tree_bound->MinSum(schema_index, own.costs, budget) > budget) {
+        // No mapping into the schema is within Δ: empty cells, certified
+        // where they cover the schema and uncertified (bound 0) elsewhere.
+        pruned[si] = 1;
+        for (size_t pos = 0; pos < m; ++pos) {
+          QueryCandidates::Cell& cell = out->cells_[pos * schema_count + si];
+          cell.skip_bound = full_coverage(pos * schema_count + si) ? kInf : 0.0;
+        }
+        continue;
+      }
+      for (size_t pos = 0; pos < m; ++pos) {
+        const size_t cell_index = pos * schema_count + si;
+        if (!full_coverage(cell_index)) continue;
+        QueryCandidates::Cell& cell = out->cells_[cell_index];
+        GatherCell(std::span<const double>(own.costs).subspan(pos * n, n),
+                   &cell.entries);
+        cell.skip_bound = kInf;
+      }
     }
   });
-  // Partial cells keep the heap path.
+  spent->schemas_pruned = static_cast<uint64_t>(
+      std::count(pruned.begin(), pruned.end(), uint8_t{1}));
+
+  // Partial cells of the schemas left keep the heap path; only their
+  // positions retrieve.
+  std::vector<uint8_t> retrieve(m, 0);
   std::vector<CellTask> tasks;
   for (size_t i = 0; i < limits.size(); ++i) {
-    if (!full_coverage(i)) tasks.push_back({i, limits[i], {}});
+    if (full_coverage(i) || pruned[i % schema_count] != 0) continue;
+    retrieve[i / schema_count] = 1;
+    tasks.push_back({i, limits[i], {}});
   }
+  workers.RetrieveAll(retrieve, &retrievals);
   workers.ScoreInOrder(
       retrievals, tasks, [] { return false; },
       [&](const CellTask& task, ScoredCell& cell) {
@@ -1386,6 +1483,21 @@ Result<QueryCandidates> CandidateGenerator::Generate(
 Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
     const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
     double delta_threshold, AdaptiveGenerationStats* stats) const {
+  return GenerateLists(query, policy, delta_threshold, stats,
+                       /*prune_schemas=*/false);
+}
+
+Result<QueryCandidates> CandidateGenerator::GenerateForMatching(
+    const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
+    double delta_threshold, AdaptiveGenerationStats* stats) const {
+  return GenerateLists(query, policy, delta_threshold, stats,
+                       /*prune_schemas=*/true);
+}
+
+Result<QueryCandidates> CandidateGenerator::GenerateLists(
+    const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
+    double delta_threshold, AdaptiveGenerationStats* stats,
+    bool prune_schemas) const {
   if (policy.min_provable_completeness < 0.0 ||
       policy.min_provable_completeness > 1.0) {
     return Status::InvalidArgument(
@@ -1478,13 +1590,23 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
     }
   }
 
-  // Round 0 (or the planned final limits): every cell scored once.
+  // Round 0 (or the planned final limits): every cell scored once. In the
+  // planned regime no round follows, so a schema whose tree bound is over
+  // budget can be dropped before its lists are built (edge terms must be
+  // ≥ 0 for the bound to hold).
+  std::optional<match::ObjectiveFunction> filter;
+  if (prune_schemas && only_full_coverage_certifies &&
+      objective_.weight_structure >= 0.0) {
+    filter.emplace(&query, &repo, objective_);
+  }
   ParallelCellScorer workers(ResolveThreadCount(num_threads_), prepared_,
                              &objective_, trigram_weight_share_,
                              cutoff_enabled_, block_max_enabled_, query,
                              preorder);
   std::vector<PositionRetrieval> retrievals;
-  ScoreEveryCell(workers, query, preorder, limits, &retrievals, &out, &local);
+  ScoreEveryCell(workers, query, preorder, limits,
+                 filter ? &*filter : nullptr, delta_threshold, &retrievals,
+                 &out, &local);
   auto note_certified = [&](size_t cell_index) {
     if (certified[cell_index] == 0 &&
         CellComplete(out.cells_[cell_index].skip_bound, out.weight_name_,
@@ -1555,7 +1677,7 @@ Result<QueryCandidates> CandidateGenerator::GenerateAdaptive(
                                         distribution.end());
 
   out.limit_ = max_limit_used;
-  FinalizeCounts(&out);
+  FinalizeCounts(limits, &out);
   if (stats != nullptr) *stats = std::move(local);
   return out;
 }

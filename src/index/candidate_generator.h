@@ -90,9 +90,13 @@
 /// full-coverage cells (limit ≥ |schema|), scored in one batched
 /// `sim::BlockScorer::ScoreMany` call (`min_score` 0, bit-identical to
 /// `Score`) over one representative element per name
-/// (`PreparedRepository::name_representative`). A full-coverage cell is
-/// then a gather: every node costed from the row, sorted by (cost, node),
-/// skip-bound +infinity — no retrieval, WAND walk or heap. That is exactly
+/// (`PreparedRepository::name_representative`). The pass then walks the
+/// schemas in ranges, one schema at a time on a worker's scratch: every
+/// node of a full-coverage cell is costed from its position's row (the
+/// type penalty read off the index's type buckets, one flag per element,
+/// instead of comparing type strings), and the cell is those costs sorted
+/// by (cost, node), skip-bound +infinity — no retrieval, WAND walk or
+/// heap. That is exactly
 /// what the heap path keeps at such a limit, since it drops and prunes
 /// nothing there. The row never scores more names than the per-cell path
 /// did: that path sends every node of a full-coverage cell through a full
@@ -107,9 +111,37 @@
 /// rows round 0 left and the memo. None of this changes a list, a
 /// skip-bound, `budget_spent` or `costs_computed`; the similarity-kernel
 /// runs left are counted in `AdaptiveGenerationStats::names_scored`.
-/// Retrieval runs only for positions that have a partial cell: a position
-/// whose cells are all full coverage only prepares its query name, which
-/// the row needs (none of its cells can escalate).
+/// Retrieval runs only for positions that have a partial cell left to
+/// score: every position prepares its query name, which the row needs,
+/// and the rest of the retrieval waits until the schema filter below has
+/// run (a position whose cells are all full coverage never escalates).
+///
+/// **Schemas with no answer are dropped before their lists are built.**
+/// `GenerateForMatching`, the matching engine's entry, adds one step to
+/// the planned pass, where no round follows it. In that schema-major walk
+/// each schema first gets the node cost of every (position, node) from
+/// the rows: a full-coverage cell's exactly, and for a partial cell 0 for
+/// any name its position's row does not hold (an admissible lower bound
+/// that needs no extra name scoring; with a `NameRowCache` the rows hold
+/// every name). `match::TreeBound` then computes the exact cheapest Σ of
+/// any mapping into the schema over those costs — the sum of per-position
+/// minimums first, then a min-sum over the query tree whose edge terms are
+/// the objective's relation-code table — lazily against the matchers'
+/// budget `Δ·normalizer + 1e-12` plus `match::kLookaheadSlack`. A schema
+/// over that budget holds no answer within Δ for any matcher, injective or
+/// not, so its cells stay empty: no gather, sort, retrieval, heap scoring
+/// or search. Its full-coverage cells keep skip-bound +infinity
+/// (certified, as when gathered), its partial cells get 0 (uncertified, as
+/// every finite bound is in this regime), so certificates,
+/// `ProvablyCompleteFraction` and the stats of the rounds do not change; a
+/// schema that passes gets exactly `GenerateAdaptive`'s cells. So matching
+/// over either gives the same answers and Δ values, and only work counters
+/// move: `schemas_pruned` counts the dropped schemas, and `budget_spent`,
+/// `costs_computed` and `names_scored` lose the heap work of their partial
+/// cells (their full-coverage cells are still costed, by the filter).
+/// `candidates_generated` and `candidates_skipped` count a dropped cell's
+/// `CandidatesOffered`, so they do not move either. `GenerateAdaptive` and
+/// `Generate` never drop a schema: their lists are exact at every cell.
 ///
 /// **Rows across requests.** With a `NameRowCache` set
 /// (`set_name_row_cache`; the serve path passes its generation's), each
@@ -132,8 +164,9 @@
 /// runs inline on the calling thread. The output never depends on N:
 ///  * the single pass scores every cell, so blocks simply land in their
 ///    own cells. The name rows are filled first, in (position, name chunk)
-///    items, and the workers then share them read-only; the gather runs in
-///    (position, schema range) items;
+///    items, and the workers then share them read-only; the schema-major
+///    walk (costs, tree bound, gather) runs in schema-range items, each
+///    worker with its own cost and `match::TreeBound` scratch;
 ///  * an escalation round must stop at the very cell where a serial loop
 ///    stops — the first one, in (position, schema) order, after which the
 ///    certified fraction reaches the target. Workers score order-contiguous
@@ -180,9 +213,21 @@ class QueryCandidates : public match::CandidateProvider {
   /// the largest per-cell limit any cell ended at).
   size_t limit() const { return limit_; }
 
-  /// Σ list sizes — candidate entries the index produced.
+  /// The candidates cell (`pos`, `schema_index`) was given:
+  /// min(final limit, |schema|). Its list holds exactly these unless the
+  /// schema filter of `GenerateForMatching` emptied it (see "Schemas with
+  /// no answer" in the file comment).
+  size_t CandidatesOffered(size_t pos, int32_t schema_index) const {
+    return cells_[pos * schema_count_ + static_cast<size_t>(schema_index)]
+        .offered;
+  }
+
+  /// Σ `CandidatesOffered` — candidate entries the index produced, or would
+  /// have for the schemas the filter emptied, so the count does not depend
+  /// on the filter.
   uint64_t candidates_generated() const { return generated_; }
-  /// Σ (|schema| − list size) — repository nodes never handed to matchers.
+  /// Σ (|schema| − `CandidatesOffered`) — repository nodes the cutoff left
+  /// out.
   uint64_t candidates_skipped() const { return skipped_; }
 
   /// \brief The cell's skip-bound translated to Δ units: an admissible
@@ -219,6 +264,8 @@ class QueryCandidates : public match::CandidateProvider {
     /// Admissible lower bound on the node cost of any unlisted target;
     /// +infinity when the list covers the whole schema.
     double skip_bound = 0.0;
+    /// min(final limit, |schema|); see `CandidatesOffered`.
+    size_t offered = 0;
   };
 
   std::vector<Cell> cells_;
@@ -306,6 +353,12 @@ struct AdaptiveGenerationStats {
   /// Query positions whose name row came from the `NameRowCache` (hits);
   /// 0 without a cache. Those positions scored no name.
   uint64_t rows_cached = 0;
+  /// Schemas `GenerateForMatching` left with empty cells because no
+  /// mapping into them is within Δ (see "Schemas with no answer" in the
+  /// file comment). 0 from `GenerateAdaptive` and outside the planned
+  /// regime. The same for every thread count; with a `NameRowCache` it may
+  /// be larger than without (a complete row bounds more names exactly).
+  uint64_t schemas_pruned = 0;
   /// Candidates scored on worker threads for cells past the point where
   /// an escalation round met the target, then discarded (see "Threads"
   /// above). Always 0 with one thread, which checks the target before
@@ -335,6 +388,20 @@ class CandidateGenerator {
   /// policy, `GenerateAdaptive` at target 0 with `initial_limit` `limit`.
   Result<QueryCandidates> Generate(const schema::Schema& query,
                                    size_t limit) const;
+
+  /// \brief `GenerateAdaptive` for a matching run at `delta_threshold`.
+  /// Outside the planned regime it is exactly `GenerateAdaptive`. In it
+  /// (see "Schemas with no answer" in the file comment), a schema whose
+  /// exact tree bound shows that no mapping into it is within
+  /// `delta_threshold` gets empty cells: skip-bound +infinity where the
+  /// cell's limit covers the schema, 0 elsewhere, so every certificate and
+  /// `ProvablyCompleteFraction` are those of `GenerateAdaptive`. Every
+  /// other cell is `GenerateAdaptive`'s, so matching over these lists gives
+  /// the same answers for every matcher that keeps only mappings within Δ.
+  /// The dropped schemas are counted in `schemas_pruned`.
+  Result<QueryCandidates> GenerateForMatching(
+      const schema::Schema& query, const AdaptiveCandidatePolicy& policy,
+      double delta_threshold, AdaptiveGenerationStats* stats = nullptr) const;
 
   /// \brief Bound-driven generation: every cell starts at
   /// `policy.initial_limit` and uncertified cells are regenerated at
@@ -389,24 +456,36 @@ class CandidateGenerator {
   void set_name_row_cache(NameRowCache* cache) { row_cache_ = cache; }
 
  private:
+  /// Both entries: `GenerateForMatching` with `prune_schemas`, else
+  /// `GenerateAdaptive`.
+  Result<QueryCandidates> GenerateLists(const schema::Schema& query,
+                                        const AdaptiveCandidatePolicy& policy,
+                                        double delta_threshold,
+                                        AdaptiveGenerationStats* stats,
+                                        bool prune_schemas) const;
   Status ValidateQuery(const schema::Schema& query) const;
   void InitOutput(const schema::Schema& query, QueryCandidates* out) const;
   /// Scores every cell of `out` once, at `limits[cell]` (position-major),
   /// from scratch on `workers`, gathering each cell whose limit reaches
   /// its schema size from its position's name row (cached or scored), and
   /// adds the candidates considered, costs computed, names scored and rows
-  /// cached to `spent`. Leaves each position's retrieval (and row) in
-  /// `retrievals` for the escalation rounds.
+  /// cached to `spent`. With a `filter` (the run's objective), a schema
+  /// whose tree bound exceeds `delta_threshold`'s budget gets empty cells
+  /// instead and is counted in `schemas_pruned`. Leaves each position's
+  /// retrieval (and row) in `retrievals` for the escalation rounds.
   void ScoreEveryCell(ParallelCellScorer& workers, const schema::Schema& query,
                       const std::vector<schema::NodeId>& preorder,
                       const std::vector<size_t>& limits,
+                      const match::ObjectiveFunction* filter,
+                      double delta_threshold,
                       std::vector<PositionRetrieval>* retrievals,
                       QueryCandidates* out,
                       AdaptiveGenerationStats* spent) const;
-  /// Recomputes generated/skipped totals from the final cells (the
-  /// adaptive path re-scores cells, so accumulating during generation
-  /// would double-count).
-  void FinalizeCounts(QueryCandidates* out) const;
+  /// Recomputes generated/skipped totals from the final cells and their
+  /// `limits` (the adaptive path re-scores cells, so accumulating during
+  /// generation would double-count).
+  void FinalizeCounts(const std::vector<size_t>& limits,
+                      QueryCandidates* out) const;
 
   const PreparedRepository* prepared_;
   match::ObjectiveOptions objective_;

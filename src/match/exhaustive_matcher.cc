@@ -5,16 +5,14 @@
 #include <limits>
 #include <vector>
 
+#include "match/tree_bound.h"
+
 /// \file exhaustive_matcher.cc
 /// \brief S1 implementation: exhaustive pairwise matching.
 
 namespace smb::match {
 
 namespace {
-
-/// Extra slack of the lookahead tests over the plain budget (see the file
-/// comment of exhaustive_matcher.h).
-constexpr double kLookaheadSlack = 1e-9;
 
 /// Depth-first enumeration of assignments within one repository schema —
 /// over the full node set, or over sparse candidate lists when a

@@ -22,10 +22,12 @@
 ///    `suffix[p] = Σ_{q ≥ p} w_name·min(q)` lower-bounds what positions
 ///    p..m−1 still add, and a partial sum `cost` at position p is cut when
 ///    `cost + suffix[p + 1]` exceeds the budget — the *lookahead*;
-///  * the lookahead compares against the budget plus a further 1e-9. The
-///    suffix sums add the same terms in a different order than the search
-///    does, and the slack is orders of magnitude above that rounding, so a
-///    mapping the plain `Σ ≤ budget` test keeps is never cut.
+///  * the lookahead compares against the budget plus a further
+///    `kLookaheadSlack` (1e-9, match/tree_bound.h). The suffix sums add the
+///    same terms in a different order than the search does, and the slack
+///    is orders of magnitude above that rounding, so a mapping the plain
+///    `Σ ≤ budget` test keeps is never cut. The candidate generator's
+///    schema filter tests its tree bound against the same slack.
 ///
 /// The same bound cuts a sorted candidate list at its first entry whose
 /// cheapest completion is over budget, and skips a schema outright when

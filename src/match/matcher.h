@@ -49,7 +49,9 @@ struct MatchStats {
   /// matchers themselves.
   uint64_t candidates_generated = 0;
   /// Repository nodes the index skipped (Σ schema_size − list size) — the
-  /// search-space reduction the selectivity knob C buys.
+  /// search-space reduction the selectivity knob C buys. Both counts take
+  /// the lists a schema would have had where the index emptied it for
+  /// holding no answer within Δ (index::QueryCandidates::CandidatesOffered).
   uint64_t candidates_skipped = 0;
 
   MatchStats& operator+=(const MatchStats& other) {

@@ -15,9 +15,13 @@ double ApplyTypePenalty(double cost, const schema::SchemaNode& q,
                         const ObjectiveOptions& options) {
   if (options.type_aware && !q.type.empty() && !t.type.empty() &&
       q.type != t.type) {
-    return std::min(1.0, cost + options.type_mismatch_penalty);
+    return PenalizeTypeMismatch(cost, options);
   }
   return cost;
+}
+
+double PenalizeTypeMismatch(double cost, const ObjectiveOptions& options) {
+  return std::min(1.0, cost + options.type_mismatch_penalty);
 }
 
 double ComputeNodeCost(const schema::SchemaNode& q, const schema::SchemaNode& t,

@@ -30,7 +30,9 @@
 /// the objective maps every code to its cost once, in its constructor. An
 /// enumerator fetches the code row of a parent's target once (`EdgeCodes`),
 /// and each child state's edge cost is then one read of the code and one of
-/// its cost.
+/// its cost (`CodeCost`). The candidate generator's schema filter
+/// (match/tree_bound.h) reads the same two tables, so its bound is over the
+/// very edge costs the enumerators add.
 
 namespace smb::sim {
 class BlockScorer;  // prepared_kernel.h
@@ -93,6 +95,11 @@ double ApplyTypePenalty(double cost, const schema::SchemaNode& q,
                         const schema::SchemaNode& t,
                         const ObjectiveOptions& options);
 
+/// \brief The cost `ApplyTypePenalty` returns on a declared type mismatch,
+/// for callers that know the mismatch without the nodes (the candidate
+/// generator reads it off the index's type buckets).
+double PenalizeTypeMismatch(double cost, const ObjectiveOptions& options);
+
 /// \brief Result of a threshold-aware node cost (see
 /// `ComputeNodeCostWithCutoff`).
 struct NodeCostCutoff {
@@ -150,7 +157,11 @@ class CandidateProvider {
   /// Candidate targets for query pre-order position `pos` in
   /// `schema_index`, sorted by ascending (cost, node). nullptr means
   /// "unrestricted" — the matcher falls back to iterating every node. An
-  /// empty list means no viable target exists for that cell.
+  /// empty list means no viable target exists for that cell: either the
+  /// schema has none, or the provider proved that no mapping into the
+  /// schema is within the run's Δ (index::CandidateGenerator's schema
+  /// filter empties every cell of such a schema). Either way the matchers
+  /// find no answer through the cell.
   virtual const std::vector<CandidateEntry>* CandidatesFor(
       size_t pos, int32_t schema_index) const = 0;
 
@@ -200,9 +211,13 @@ class ObjectiveFunction {
   /// `parent_target` and `child_target` in the same schema. In [0, 1].
   double EdgeCost(int32_t schema_index, schema::NodeId parent_target,
                   schema::NodeId child_target) const {
-    return edge_cost_[EdgeCodes(schema_index, parent_target)
-                          [static_cast<size_t>(child_target)]];
+    return CodeCost(EdgeCodes(schema_index, parent_target)
+                        [static_cast<size_t>(child_target)]);
   }
+
+  /// \brief The edge cost of relation code `code`: one read of the table
+  /// the constructor built. In [0, 1].
+  double CodeCost(schema::RelationCode code) const { return edge_cost_[code]; }
 
   /// \brief The relation codes from `parent_target` to every node of
   /// schema `schema_index`, indexed by the child's target; nullptr for
@@ -236,7 +251,7 @@ class ObjectiveFunction {
     double cost = options_.weight_name * node_cost;
     if (parent_codes != nullptr) {
       cost += options_.weight_structure *
-              edge_cost_[parent_codes[static_cast<size_t>(target)]];
+              CodeCost(parent_codes[static_cast<size_t>(target)]);
     }
     return cost;
   }

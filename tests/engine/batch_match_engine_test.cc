@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "index/candidate_generator.h"
 #include "index/prepared_repository.h"
 #include "match/beam_matcher.h"
@@ -138,15 +141,17 @@ TEST(BatchMatchEngineTest, StatsMatchSingleThreadedRun) {
   synth::SyntheticCollection collection = MakeLargeCollection();
   match::MatchOptions mopts;
   match::ExhaustiveMatcher matcher;
-  // The engine's exact run reads target-1.0 candidate lists, so its work
-  // is that of one whole-repository run over the same lists.
+  // The engine's exact run reads target-1.0 candidate lists from the
+  // matching entry, so its work is that of one whole-repository run over
+  // the same lists.
   auto prepared = index::PreparedRepository::Build(collection.repository,
                                                    mopts.objective.name);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto candidates =
       index::CandidateGenerator(&*prepared, mopts.objective)
-          .GenerateAdaptive(collection.query, index::AdaptiveCandidatePolicy{},
-                            mopts.delta_threshold);
+          .GenerateForMatching(collection.query,
+                               index::AdaptiveCandidatePolicy{},
+                               mopts.delta_threshold);
   ASSERT_TRUE(candidates.ok()) << candidates.status();
   const match::ObjectiveFunction objective(
       &collection.query, &collection.repository, mopts.objective,
@@ -262,6 +267,142 @@ TEST_P(ExactRunTest, NoBudgetEqualsTheDirectRun) {
 
 INSTANTIATE_TEST_SUITE_P(Matchers, ExactRunTest,
                          ::testing::Values("exhaustive", "beam", "topk"));
+
+/// Where the rounds are planned the engine generates through
+/// `GenerateForMatching`, which empties every cell of a schema that holds
+/// no mapping within Δ. Matching over those lists must equal matching over
+/// `GenerateAdaptive`'s unfiltered ones, byte for byte, with the same
+/// certified fraction, for every matcher, injectivity, thread count, shard
+/// size, Δ and target; no unfiltered answer may lie in a pruned schema.
+class SchemaFilterTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SchemaFilterTest, PrunedSchemasLoseNoAnswer) {
+  synth::SyntheticCollection collection = MakeLargeCollection();
+  const schema::SchemaRepository& repo = collection.repository;
+  const schema::Schema& query = collection.query;
+  static const sim::SynonymTable kTable = sim::SynonymTable::Builtin();
+  auto matcher = match::MakeMatcher(GetParam(), repo);
+  ASSERT_TRUE(matcher.ok()) << matcher.status();
+  match::MatchOptions base;
+  base.objective.name.synonyms = &kTable;
+  auto prepared =
+      index::PreparedRepository::Build(repo, base.objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const index::CandidateGenerator generator(&*prepared, base.objective);
+
+  uint64_t pruned_total = 0;
+  size_t answers_total = 0;
+  for (bool injective : {true, false}) {
+    for (double delta : {0.1, 0.25, 0.4}) {
+      for (double target : {0.0, 0.9, 1.0}) {
+        match::MatchOptions mopts = base;
+        mopts.delta_threshold = delta;
+        mopts.injective = injective;
+        index::AdaptiveCandidatePolicy policy;
+        policy.min_provable_completeness = target;
+        const std::string config =
+            std::string(GetParam()) + " injective=" +
+            std::to_string(injective) + " delta=" + std::to_string(delta) +
+            " target=" + std::to_string(target);
+        SCOPED_TRACE(config);
+
+        // The reference: the matcher over the unfiltered lists.
+        auto lists = generator.GenerateAdaptive(query, policy, delta);
+        ASSERT_TRUE(lists.ok()) << lists.status();
+        const match::ObjectiveFunction objective(&query, &repo,
+                                                 mopts.objective, &*lists);
+        match::AnswerSet reference;
+        ASSERT_TRUE((*matcher)
+                        ->MatchSchemas(objective, 0, repo.schema_count(),
+                                       mopts, &reference, nullptr)
+                        .ok());
+        reference.Finalize();
+        answers_total += reference.size();
+
+        // A pruned schema has every cell empty; none may hold an answer.
+        auto filtered = generator.GenerateForMatching(query, policy, delta);
+        ASSERT_TRUE(filtered.ok()) << filtered.status();
+        for (const match::Mapping& mapping : reference.mappings()) {
+          EXPECT_FALSE(
+              filtered->CandidatesFor(0, mapping.schema_index)->empty());
+        }
+
+        std::optional<uint64_t> pruned;
+        for (size_t threads : {1u, 2u, 4u}) {
+          for (size_t shard_size : {1u, 7u, 0u}) {
+            BatchMatchOptions bopts;
+            bopts.num_threads = threads;
+            bopts.shard_size = shard_size;
+            bopts.prepared_repository = &*prepared;
+            bopts.adaptive = policy;
+            BatchMatchStats stats;
+            auto batched =
+                BatchMatchEngine(bopts).Run(**matcher, query, repo, mopts,
+                                            &stats);
+            ASSERT_TRUE(batched.ok()) << batched.status();
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " shard_size=" + std::to_string(shard_size));
+            ExpectSameAnswers(*batched, reference);
+            EXPECT_EQ(stats.provably_complete_fraction,
+                      lists->ProvablyCompleteFraction(delta));
+            // The same schemas are pruned at every thread count.
+            if (!pruned) pruned = stats.adaptive.schemas_pruned;
+            EXPECT_EQ(stats.adaptive.schemas_pruned, *pruned);
+          }
+        }
+        pruned_total += *pruned;
+      }
+    }
+  }
+  // The matrix exercises the filter and still finds answers.
+  EXPECT_GT(pruned_total, 0u);
+  EXPECT_GT(answers_total, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matchers, SchemaFilterTest,
+                         ::testing::Values("exhaustive", "beam", "topk"));
+
+TEST(SchemaFilterRegimeTest, OutsideThePlannedRegimeListsAreUnfiltered) {
+  // At Δ 0.02 finite skip-bounds can certify, so escalation reads them and
+  // no schema is dropped: the lists are `GenerateAdaptive`'s, cell for
+  // cell.
+  synth::SyntheticCollection collection = MakeLargeCollection();
+  match::ObjectiveOptions objective;
+  auto prepared = index::PreparedRepository::Build(collection.repository,
+                                                   objective.name);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  index::CandidateGenerator generator(&*prepared, objective);
+  for (size_t threads : {1u, 4u}) {
+    generator.set_num_threads(threads);
+    for (double target : {0.0, 0.9, 1.0}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " target=" + std::to_string(target));
+      index::AdaptiveCandidatePolicy policy;
+      policy.min_provable_completeness = target;
+      index::AdaptiveGenerationStats stats;
+      auto filtered = generator.GenerateForMatching(collection.query, policy,
+                                                    0.02, &stats);
+      auto full = generator.GenerateAdaptive(collection.query, policy, 0.02);
+      ASSERT_TRUE(filtered.ok() && full.ok());
+      EXPECT_EQ(stats.schemas_pruned, 0u);
+      ASSERT_EQ(filtered->positions(), full->positions());
+      for (size_t pos = 0; pos < full->positions(); ++pos) {
+        for (size_t si = 0; si < full->schema_count(); ++si) {
+          const auto schema_index = static_cast<int32_t>(si);
+          const auto& a = *filtered->CandidatesFor(pos, schema_index);
+          const auto& b = *full->CandidatesFor(pos, schema_index);
+          ASSERT_EQ(a.size(), b.size()) << pos << "," << si;
+          for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].node, b[i].node);
+            EXPECT_EQ(a[i].cost, b[i].cost);
+          }
+          EXPECT_EQ(filtered->SkipLowerBound(pos, schema_index),
+                    full->SkipLowerBound(pos, schema_index));
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace smb::engine

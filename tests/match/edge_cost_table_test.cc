@@ -1,16 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "../testing/fixtures.h"
+#include "../testing/tree_shapes.h"
 #include "../testing/tree_walk.h"
-#include "common/rng.h"
 #include "match/objective.h"
 #include "schema/repository.h"
-#include "synth/generator.h"
 
 /// \file edge_cost_table_test.cc
 /// \brief The objective's edge cost, read from the repository's relation
@@ -23,6 +20,7 @@ namespace {
 
 using schema::NodeId;
 using schema::Schema;
+using testing::MakeMixedRepo;
 
 /// The edge cost by tree walks.
 double WalkEdgeCost(const Schema& s, NodeId parent_target,
@@ -43,50 +41,6 @@ double WalkEdgeCost(const Schema& s, NodeId parent_target,
   return std::min(1.0, o.unrelated_penalty_base +
                            o.unrelated_penalty_step *
                                static_cast<double>(std::max(0, dist - 2)));
-}
-
-Schema Chain(int levels) {
-  Schema s("chain");
-  NodeId cur = s.AddRoot("n0").value();
-  for (int i = 1; i < levels; ++i) {
-    cur = s.AddChild(cur, "n" + std::to_string(i)).value();
-  }
-  return s;
-}
-
-Schema Star(int leaves) {
-  Schema s("star");
-  NodeId root = s.AddRoot("hub").value();
-  for (int i = 0; i < leaves; ++i) {
-    s.AddChild(root, "leaf" + std::to_string(i)).value();
-  }
-  return s;
-}
-
-/// Each node hangs under a random earlier one, so ids are not pre-order.
-Schema RandomTree(size_t nodes, uint64_t seed) {
-  Rng rng(seed);
-  Schema s("random");
-  s.AddRoot("r").value();
-  for (size_t i = 1; i < nodes; ++i) {
-    auto parent = static_cast<NodeId>(rng.UniformIndex(i));
-    s.AddChild(parent, "x" + std::to_string(i)).value();
-  }
-  return s;
-}
-
-/// A synthetic collection plus a 40-deep chain (past the XSD reader's depth
-/// cut of 16), a wide star and a random tree, in one repository.
-schema::SchemaRepository MakeMixedRepo() {
-  synth::SynthOptions options;
-  options.num_schemas = 40;
-  Rng rng(7);
-  schema::SchemaRepository repo =
-      synth::GenerateProblem(4, options, &rng).value().repository;
-  repo.Add(Chain(40)).value();
-  repo.Add(Star(200)).value();
-  repo.Add(RandomTree(60, 3)).value();
-  return repo;
 }
 
 void ExpectTableMatchesWalks(const schema::SchemaRepository& repo,

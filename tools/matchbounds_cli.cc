@@ -279,7 +279,8 @@ void PrintAdaptiveStats(const engine::BatchMatchStats& stats) {
             << " escalation round(s), " << stats.adaptive.budget_spent
             << " candidates scored, " << stats.adaptive.names_scored
             << " name scores, " << stats.adaptive.cells_escalated
-            << " of " << stats.adaptive.cells_total << " cells escalated";
+            << " of " << stats.adaptive.cells_total << " cells escalated, "
+            << stats.adaptive.schemas_pruned << " schemas pruned";
 }
 
 void PrintMatchStats(const match::MatchStats& stats) {
